@@ -12,20 +12,71 @@ A :class:`MajoranaOperator` stores a weighted sum of *Majorana monomials*;
 each monomial is a strictly-increasing tuple of Majorana indices (the product
 ``M_{i1} M_{i2} …`` in ascending order).  Reordering an arbitrary product into
 this canonical form contributes a sign from anticommutation and removes
-squared factors.
+squared factors.  One rule does that reordering everywhere in this module:
+with the monomial held as an index bitmask, right-multiplying by ``M_i``
+flips bit ``i`` and negates when an odd number of set bits lie above ``i``.
+
+**Expansion kernel.**  :meth:`MajoranaOperator.from_fermion_operator` plans
+by term *shape*: a ladder monomial's dagger flags plus the relative order of
+its modes.  A degree-k shape expands to at most 2^k Majorana monomials; its
+plan, built once through the bitmask rule and kept in a bounded
+``lru_cache``, lists the survivors in canonical order with their exact
+relative coefficients (± powers of ½, real or imaginary).  A term then costs
+one key rebuild and one in-place accumulate per survivor.  Entries that sum
+to exactly zero leave the accumulator, as with :meth:`MajoranaOperator.
+add_term`, and the result is simplified at the end.  Coefficients come out
+as Python ``complex``.
+
+**Memo.**  :func:`majorana_form` is the call-side entry point: it memoizes
+the expansion on the ``FermionOperator`` (its ``_majorana`` slot, cleared by
+``add_term``; ``copy()`` and arithmetic results start without one), so
+HATT construction and mapping share one expansion.  The memoized operator is
+shared: callers must treat it as read-only.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .operators import FermionOperator
 
-__all__ = ["MajoranaOperator", "normal_order_majorana_product"]
+__all__ = ["MajoranaOperator", "majorana_form", "normal_order_majorana_product"]
 
 _COEFF_TOLERANCE = 1e-12
+
+
+def _times_majorana(mask: int, index: int) -> tuple[int, int]:
+    """Right-multiply the canonical monomial ``mask`` by ``M_index``.
+
+    ``mask`` holds the monomial's indices as set bits.  ``M_index`` moves
+    left past every factor above it, one sign flip each, and cancels against
+    an equal factor (``M² = 1``).  Returns ``(new_mask, ±1)``.
+    """
+    sign = -1 if (mask >> (index + 1)).bit_count() & 1 else 1
+    return mask ^ (1 << index), sign
+
+
+def _walk(mask: int, indices: Iterable[int]) -> tuple[int, int]:
+    """Right-multiply ``mask`` by each ``M_i`` in turn; returns ``(mask, ±1)``."""
+    sign = 1
+    for index in indices:
+        mask, step = _times_majorana(mask, index)
+        sign *= step
+    return mask, sign
+
+
+def _mask_indices(mask: int) -> tuple[int, ...]:
+    """Set bits of ``mask`` in ascending order (the canonical monomial)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def normal_order_majorana_product(
@@ -37,34 +88,53 @@ def normal_order_majorana_product(
     for the anticommutations needed to merge-sort the concatenation, and
     indices appearing in both factors cancel (``M² = 1``).
     """
-    # Merge-count inversions between the two sorted sequences.
-    sign = 1
-    merged: list[int] = []
-    i = j = 0
-    # Number of elements of `left` not yet consumed; each right-element that
-    # jumps past them contributes that many transpositions.
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            # right[j] moves past the remaining left elements.
-            if (len(left) - i) % 2 == 1:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    # Cancel adjacent equal pairs (M_i M_i = 1); merged is sorted.
-    out: list[int] = []
-    k = 0
-    while k < len(merged):
-        if k + 1 < len(merged) and merged[k] == merged[k + 1]:
-            k += 2
-        else:
-            out.append(merged[k])
-            k += 1
-    return tuple(out), sign
+    mask, sign = _walk(sum(1 << i for i in left), right)
+    return _mask_indices(mask), sign
+
+
+def _key_getter(positions: tuple[int, ...]) -> Callable[[list[int]], tuple[int, ...]]:
+    # itemgetter returns a bare item for one position and needs at least one.
+    if not positions:
+        return lambda base: ()
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda base: (base[p],)
+    return itemgetter(*positions)
+
+
+#: One plan entry: (key builder over the term's Majorana base, relative coefficient).
+_PlanEntry = tuple[Callable[[list[int]], tuple[int, ...]], complex]
+
+
+@functools.lru_cache(maxsize=4096)
+def _expansion_plan(shape: tuple[int, ...]) -> tuple[_PlanEntry, ...]:
+    """Majorana expansion of one ladder-monomial shape.
+
+    ``shape`` encodes each ladder operator as ``2·rank + dagger``, where
+    ``rank`` is its mode's rank among the term's distinct modes.  Rank ``r``
+    owns positions ``2r`` (the ``½·M_2j`` half of Eq. 2) and ``2r + 1`` (the
+    ``∓½i·M_2j+1`` half) of the term's base list ``[2·m_0, 2·m_0 + 1, 2·m_1,
+    …]`` over its sorted modes, so ascending positions give ascending
+    Majorana indices.  The operators multiply out left to right with exact
+    zeros popped.  Every step is a sign flip or a scaling by ½ or ½i, so the
+    relative coefficients are exact, and ``coeff * relative`` equals what
+    multiplying the term out with coefficient ``coeff`` reaches.
+    """
+    factor: dict[int, complex] = {0: 1.0}
+    for code in shape:
+        even = code & ~1
+        halves = ((even, 0.5), (even + 1, -0.5j if code & 1 else 0.5j))
+        product: dict[int, complex] = {}
+        for mask, value in factor.items():
+            for position, half in halves:
+                new_mask, sign = _times_majorana(mask, position)
+                new = product.get(new_mask, 0.0) + sign * value * half
+                if new == 0:
+                    product.pop(new_mask, None)
+                else:
+                    product[new_mask] = new
+        factor = product
+    return tuple((_key_getter(_mask_indices(mask)), value) for mask, value in factor.items())
 
 
 class MajoranaOperator:
@@ -100,23 +170,34 @@ class MajoranaOperator:
     @classmethod
     def from_term(cls, indices: Iterable[int], coeff: complex = 1.0) -> "MajoranaOperator":
         """Build from an arbitrary (possibly unsorted/repeated) index product."""
-        out = cls.identity(coeff)
-        for idx in indices:
-            out = out * cls.single(idx)
+        mask, sign = _walk(0, indices)
+        out = cls()
+        out.add_term(_mask_indices(mask), sign * coeff)
         return out
 
     @classmethod
     def from_fermion_operator(cls, op: FermionOperator) -> "MajoranaOperator":
-        """Expand ladder monomials through the paper's Eq. (2)."""
-        total = cls.zero()
+        """Expand ladder monomials through the paper's Eq. (2) (plan kernel).
+
+        Call sites go through :func:`majorana_form`, which memoizes this.
+        """
+        out = cls()
+        terms = out._terms
+        get = terms.get
         for actions, coeff in op.terms():
-            factor = cls.identity(coeff)
-            for mode, dagger in actions:
-                even = cls.single(2 * mode, 0.5)
-                odd = cls.single(2 * mode + 1, -0.5j if dagger else 0.5j)
-                factor = factor * (even + odd)
-            total = total + factor
-        return total.simplify()
+            modes = sorted({mode for mode, _ in actions})
+            even = {mode: 2 * r for r, mode in enumerate(modes)}
+            plan = _expansion_plan(tuple([even[mode] + dagger for mode, dagger in actions]))
+            base = [index for mode in modes for index in (2 * mode, 2 * mode + 1)]
+            coeff = complex(coeff)
+            for key_of, relative in plan:
+                key = key_of(base)
+                new = get(key, 0.0) + coeff * relative
+                if new == 0:
+                    terms.pop(key, None)
+                else:
+                    terms[key] = new
+        return out.simplify()
 
     # ------------------------------------------------------------------
     # Inspection
@@ -245,3 +326,21 @@ class MajoranaOperator:
         parts = [f"({c:.4g})·{fmt(t)}" for t, c in list(self._terms.items())[:6]]
         more = f" … ({len(self)} terms)" if len(self) > 6 else ""
         return f"MajoranaOperator({' + '.join(parts) or '0'}{more})"
+
+
+def majorana_form(hamiltonian: FermionOperator | MajoranaOperator) -> MajoranaOperator:
+    """The Majorana form of ``hamiltonian``, expanded at most once per operator.
+
+    A ``MajoranaOperator`` is returned as is.  A ``FermionOperator``'s
+    expansion is memoized in its ``_majorana`` slot, which ``add_term``
+    clears; the returned operator is shared and must not be mutated.
+    """
+    if isinstance(hamiltonian, MajoranaOperator):
+        return hamiltonian
+    if isinstance(hamiltonian, FermionOperator):
+        if hamiltonian._majorana is None:
+            hamiltonian._majorana = MajoranaOperator.from_fermion_operator(hamiltonian)
+        return hamiltonian._majorana
+    raise TypeError(
+        f"expected a FermionOperator or MajoranaOperator, got {type(hamiltonian).__name__}"
+    )

@@ -27,7 +27,7 @@ _COEFF_TOLERANCE = 1e-12
 class FermionOperator:
     """Weighted sum of products of fermionic creation/annihilation operators."""
 
-    __slots__ = ("_terms", "_fingerprint_cache")
+    __slots__ = ("_terms", "_fingerprint_cache", "_majorana")
 
     def __init__(self, terms: dict[tuple[Action, ...], complex] | None = None):
         self._terms: dict[tuple[Action, ...], complex] = dict(terms) if terms else {}
@@ -35,6 +35,9 @@ class FermionOperator:
         #: fingerprint form — owned by repro.service.fingerprint, cleared on
         #: mutation (the same contract as MajoranaOperator._packed).
         self._fingerprint_cache = None
+        #: Memoized Majorana form — owned by repro.fermion.majorana_form,
+        #: cleared on mutation like _fingerprint_cache.
+        self._majorana = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -101,6 +104,7 @@ class FermionOperator:
     # ------------------------------------------------------------------
     def add_term(self, actions: tuple[Action, ...], coeff: complex) -> None:
         self._fingerprint_cache = None
+        self._majorana = None
         new = self._terms.get(actions, 0.0) + coeff
         if abs(new) <= _COEFF_TOLERANCE:
             self._terms.pop(actions, None)

@@ -94,7 +94,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..fermion import FermionOperator, MajoranaOperator
+from ..fermion import FermionOperator, MajoranaOperator, majorana_form
 from ..mappings.base import FermionQubitMapping
 from ..mappings.tree import TernaryTree, TreeNode, tree_from_uid_arrays
 from ..paulis.table import pack_incidence
@@ -764,16 +764,6 @@ class HattConstruction:
         return list(self._children)
 
 
-def _to_majorana(
-    hamiltonian: FermionOperator | MajoranaOperator,
-) -> MajoranaOperator:
-    if isinstance(hamiltonian, FermionOperator):
-        return MajoranaOperator.from_fermion_operator(hamiltonian)
-    if isinstance(hamiltonian, MajoranaOperator):
-        return hamiltonian
-    raise TypeError(f"cannot build HATT from {type(hamiltonian).__name__}")
-
-
 def hatt_mapping(
     hamiltonian: FermionOperator | MajoranaOperator,
     n_modes: int | None = None,
@@ -792,7 +782,7 @@ def hatt_mapping(
     ``S_i`` is assigned to Majorana ``M_i`` (leaf ``i`` of the constructed
     tree); the tree itself is attached as ``mapping.tree``.
     """
-    majorana = _to_majorana(hamiltonian)
+    majorana = majorana_form(hamiltonian)
     if n_modes is None:
         n_modes = majorana.n_modes
     construction = HattConstruction(

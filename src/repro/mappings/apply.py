@@ -23,7 +23,7 @@ per-call packing entirely.
 
 from __future__ import annotations
 
-from ..fermion import FermionOperator, MajoranaOperator
+from ..fermion import FermionOperator, MajoranaOperator, majorana_form
 from ..paulis import PauliString, QubitOperator
 from ..paulis.algebra import mul_xzk
 from ..paulis.table import PauliTable
@@ -142,7 +142,8 @@ def map_fermion_operator(
     n_qubits: int,
     backend: str = "table",
 ) -> QubitOperator:
-    """Convenience wrapper: expand to Majoranas (paper Eq. 2) then map."""
-    return map_majorana_operator(
-        MajoranaOperator.from_fermion_operator(op), strings, n_qubits, backend=backend
-    )
+    """Convenience wrapper: expand to Majoranas (paper Eq. 2) then map.
+
+    The expansion is memoized on ``op`` (see :func:`repro.fermion.majorana_form`).
+    """
+    return map_majorana_operator(majorana_form(op), strings, n_qubits, backend=backend)

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 from ..sources import build_case
 from ..obs.metrics import get_registry
-from ..obs.trace import TraceContext, activate, new_trace_id
+from ..obs.trace import TraceContext, activate, new_trace_id, span
 from ..service import MappingService, pool_context
 from . import faults
 from .schema import CompileRequest, JobError, JobRecord, JobStatus
@@ -247,6 +247,8 @@ def _run_request_traced(request: CompileRequest, service: MappingService) -> dic
     if request.job == "map":
         result = service.get_or_compile(h, request.spec())
         mapping = result.mapping
+        with span("pauli_weight", registry=service.registry):
+            pauli_weight = int(mapping.map(h).pauli_weight())
         return {
             "job": "map",
             "case": request.case,
@@ -256,7 +258,7 @@ def _run_request_traced(request: CompileRequest, service: MappingService) -> dic
             "compile_seconds": round(result.compile_seconds, 6),
             "n_modes": mapping.n_modes,
             "n_qubits": mapping.n_qubits,
-            "pauli_weight": int(mapping.map(h).pauli_weight()),
+            "pauli_weight": pauli_weight,
         }
     # job == "compile": mapping + Trotter synthesis + routing, via the
     # hardware pipeline (its circuits/ artifacts ride the same store).

@@ -754,6 +754,8 @@ class TestObservability:
             assert record.result["trace"]["trace_id"] == record.trace_id
             stages = {s["stage"] for s in record.result["trace"]["spans"]}
             assert "tree_construction" in stages
+            # The map job's closing weight evaluation is traced too.
+            assert "pauli_weight" in stages
             # And the envelope survives a plain poll too.
             polled = client.job(record.id)
             assert polled.trace_id == record.trace_id
@@ -798,6 +800,7 @@ class TestObservability:
         assert compile_hist["repro_compile_seconds_sum"] > 0
         stage_hist = families["repro_stage_seconds"]["samples"]
         assert any("tree_construction" in k for k in stage_hist)
+        assert any('stage="pauli_weight"' in k for k in stage_hist)
         assert families["repro_queue_depth"]["samples"]["repro_queue_depth"] == 0
         http = families["repro_http_requests_total"]["samples"]
         assert any('route="/v1/jobs"' in k and 'status="200"' in k
