@@ -1,8 +1,8 @@
 """Ablation study (ours): design choices DESIGN.md calls out.
 
 * Alg.-3 caching on/off — identical output, different speed;
-* construction backend (packed-bitmask vector kernels vs scalar scan) —
-  identical output, different speed;
+* construction engine (packed-bitmask kernel vs the scalar-scan oracle in
+  ``tests/oracles/hatt.py``) — identical output, different speed;
 * vacuum pairing on/off — Pauli-weight cost of the constraint (Table VI's
   mechanism) plus its state-preparation benefit;
 * term-ordering strategy for the synthesis back-end.
@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from oracles import hatt as hatt_oracle
 from repro.analysis import format_table, write_result
 from repro.circuits import to_cx_u3, trotter_circuit
 from repro.hatt import hatt_mapping
@@ -35,7 +36,7 @@ def ablation():
         uncached = hatt_mapping(h, n_modes=n, cached=False)
         t_uncached = time.perf_counter() - t0
         t0 = time.perf_counter()
-        scalar = hatt_mapping(h, n_modes=n, cached=True, backend="scalar")
+        scalar = hatt_oracle.hatt_mapping(h, n_modes=n, cached=True)
         t_scalar = time.perf_counter() - t0
         assert cached.strings == uncached.strings
         assert cached.strings == scalar.strings
@@ -47,7 +48,7 @@ def ablation():
              w_vac, w_free, cached.preserves_vacuum()]
         )
     content = format_table(
-        "Ablation - caching, backend & vacuum pairing",
+        "Ablation - caching, engine & vacuum pairing",
         ["case", "modes", "t cached", "t uncached", "t scalar", "weight (vac)",
          "weight (free)", "vacuum ok"],
         rows,

@@ -6,10 +6,11 @@ asserts the paper's qualitative finding — HATT's bias/variance is at most
 that of the worst constructive baseline everywhere, tracking its smaller
 circuits.
 
-The heatmap cells run on the batched trajectory engine
-(``backend="batched"``); ``test_backend_speedup_and_agreement`` times it
-against the per-trajectory scalar reference at 1000 trajectories and checks
-both engines report the same bias/variance within statistical error.
+The heatmap cells run on the batched trajectory engine;
+``test_backend_speedup_and_agreement`` times it against the per-trajectory
+oracle (``tests/oracles/noise.py``, swapped in under the same experiment
+protocol) at 1000 trajectories and checks both report the same
+bias/variance within statistical error.
 
 Set ``REPRO_BENCH_SMOKE=1`` (as the CI smoke step does) for a toy-size run:
 one case, a short grid, reduced shots, and a loose speed floor, finishing in
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import full_run
+from oracles import noise as noise_oracle
 from repro.analysis import format_table, noisy_energy_experiment, write_result
 from repro.hatt import hatt_mapping
 from repro.mappings import balanced_ternary_tree, bravyi_kitaev, jordan_wigner
@@ -47,7 +49,7 @@ if SMOKE:
     GRID = GRID[-1:]
 CASES = ["H2_sto3g"] + (["LiH_sto3g_frz"] if full_run() else [])
 
-#: Speedup floor for the batched engine over the scalar loop.  At 1000
+#: Speedup floor for the batched engine over the per-trajectory oracle.  At 1000
 #: trajectories on H2 the measured ratio is ~30x; the floor guards the
 #: acceptance criterion (3x) with slack for loaded CI machines.  The smoke
 #: run uses far fewer trajectories, where the floor only catches gross
@@ -106,9 +108,19 @@ def test_fig10_hatt_not_worse_than_worst_baseline(fig10):
         assert by_mapping["HATT"][0] <= worst_baseline + 0.02, key
 
 
-def test_backend_speedup_and_agreement():
-    """The batched engine beats the per-trajectory loop by >= MIN_SPEEDUP at
-    SPEEDUP_SHOTS trajectories, and both report the same bias/variance
+def _experiment(monkeypatch, backend, *args, **kwargs):
+    """``noisy_energy_experiment`` on the batched engine, or with the
+    per-trajectory oracle swapped in (``backend="scalar"``)."""
+    with monkeypatch.context() as patch:
+        if backend == "scalar":
+            patch.setattr("repro.analysis.noisy.noisy_expectations",
+                          noise_oracle.noisy_expectations)
+        return noisy_energy_experiment(*args, **kwargs)
+
+
+def test_backend_speedup_and_agreement(monkeypatch):
+    """The batched engine beats the per-trajectory oracle by >= MIN_SPEEDUP
+    at SPEEDUP_SHOTS trajectories, and both report the same bias/variance
     within statistical error."""
     case = electronic_case("H2_sto3g")
     mapping = jordan_wigner(case.n_modes)
@@ -116,8 +128,8 @@ def test_backend_speedup_and_agreement():
 
     def run(backend):
         start = time.perf_counter()
-        e = noisy_energy_experiment(
-            case, mapping, noise, shots=SPEEDUP_SHOTS, seed=5, backend=backend
+        e = _experiment(
+            monkeypatch, backend, case, mapping, noise, shots=SPEEDUP_SHOTS, seed=5
         )
         return e, time.perf_counter() - start
 
@@ -126,10 +138,10 @@ def test_backend_speedup_and_agreement():
     speedup = t_scalar / t_batched
 
     content = format_table(
-        f"Fig. 10 backends - H2, {SPEEDUP_SHOTS} trajectories",
-        ["backend", "time [s]", "mean E", "bias", "variance"],
+        f"Fig. 10 engine vs oracle - H2, {SPEEDUP_SHOTS} trajectories",
+        ["engine", "time [s]", "mean E", "bias", "variance"],
         [
-            ["scalar", f"{t_scalar:.3f}", f"{scalar.mean:.5f}",
+            ["oracle", f"{t_scalar:.3f}", f"{scalar.mean:.5f}",
              f"{scalar.bias:.5f}", f"{scalar.variance:.6f}"],
             ["batched", f"{t_batched:.3f}", f"{batched.mean:.5f}",
              f"{batched.bias:.5f}", f"{batched.variance:.6f}"],
@@ -153,13 +165,14 @@ def test_backend_speedup_and_agreement():
 
 
 @pytest.mark.parametrize("backend", ["batched", "scalar"])
-def test_bench_noisy_trajectories(benchmark, fig10, backend):
+def test_bench_noisy_trajectories(benchmark, fig10, backend, monkeypatch):
     case = electronic_case("H2_sto3g")
     mapping = jordan_wigner(case.n_modes)
 
     def run():
-        return noisy_energy_experiment(
-            case, mapping, NoiseModel(p1=1e-4, p2=1e-3), shots=25, backend=backend
+        return _experiment(
+            monkeypatch, backend, case, mapping, NoiseModel(p1=1e-4, p2=1e-3),
+            shots=25,
         )
 
     benchmark.pedantic(run, rounds=2, iterations=1)

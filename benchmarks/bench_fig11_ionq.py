@@ -6,13 +6,14 @@ mean, HATT second-best mean and lowest variance, all adaptive methods above
 JW/BK/BTT.
 
 Trajectories run on the batched engine (``repro.sim.BatchedStatevector``);
-the scalar per-trajectory loop stays available through the benchmark's
-``backend`` parametrization for cross-checking.
+the benchmark's ``backend`` parametrization also times the per-trajectory
+oracle (``tests/oracles/noise.py``) under the same protocol.
 """
 
 import pytest
 
 from conftest import full_run
+from oracles import noise as noise_oracle
 from repro.analysis import format_table, noisy_energy_experiment, write_result
 from repro.fermihedral import fermihedral_mapping
 from repro.hatt import hatt_mapping
@@ -76,12 +77,15 @@ def test_fig11_hatt_bias_competitive(fig11):
 
 
 @pytest.mark.parametrize("backend", ["batched", "scalar"])
-def test_bench_ionq_experiment(benchmark, fig11, backend):
+def test_bench_ionq_experiment(benchmark, fig11, backend, monkeypatch):
     case = electronic_case("H2_sto3g")
     mapping = hatt_mapping(case.hamiltonian, n_modes=4)
     noise = ionq_forte_noise_model()
+    if backend == "scalar":
+        monkeypatch.setattr("repro.analysis.noisy.noisy_expectations",
+                            noise_oracle.noisy_expectations)
 
     def run():
-        return noisy_energy_experiment(case, mapping, noise, shots=25, backend=backend)
+        return noisy_energy_experiment(case, mapping, noise, shots=25)
 
     benchmark.pedantic(run, rounds=2, iterations=1)

@@ -7,8 +7,8 @@ with the SABRE-lite router.  ``hatt-arch`` grows the tree against the same
 coupling graph it is routed onto (distance-biased candidate selection) and
 carries the pipeline's portfolio guard, so its routed CNOTs and depth are
 bounded above by plain HATT's per architecture — asserted below.  Supersedes the old ``bench_table4_tetris`` harness:
-it sweeps every mapping kind, records SWAP counts, cross-checks the two
-router engines, and enforces the vectorized router's speedup floor.
+it sweeps every mapping kind, records SWAP counts, cross-checks the router
+against its oracle, and enforces the router's speedup floor over it.
 
 Paper-claim checks, honestly scoped:
 
@@ -20,12 +20,12 @@ Paper-claim checks, honestly scoped:
   only an aggregate bound is asserted there (see EXPERIMENTS.md note in
   the old harness).
 
-Router speedup: each SWAP decision of the ``vector`` engine is one batched
-integer kernel whose cost is independent of the lookahead horizon, while
-the ``scalar`` reference scans every window position per candidate.  The
-floor is asserted at the deep-horizon configuration (lookahead=1024) on
+Router speedup: each SWAP decision of the router is one batched integer
+kernel whose cost is independent of the lookahead horizon, while its oracle
+(``tests/oracles/routing.py``) scans every window position per candidate.
+The floor is asserted at the deep-horizon configuration (lookahead=1024) on
 the largest case, where that structural difference is the measurement —
-both engines emit bit-identical circuits at every horizon.
+both emit bit-identical circuits at every horizon.
 
 Set ``REPRO_BENCH_SMOKE=1`` (the CI smoke step) for a toy-size run that
 still exercises every assertion.  Results are written to the committed
@@ -39,6 +39,7 @@ from pathlib import Path
 import pytest
 
 from conftest import full_run
+from oracles import routing as router_oracle
 from repro.analysis import write_bench_json, write_result
 from repro.circuits import route_circuit, to_cx_u3, trotter_circuit
 from repro.compile import ARCHITECTURES, CompilationPipeline, CompileOptions
@@ -95,7 +96,7 @@ def table4():
 
 @pytest.fixture(scope="module")
 def speedup():
-    """Deep-horizon routing time, vector vs scalar, on the largest case."""
+    """Deep-horizon routing time, router vs oracle, on the largest case."""
     h = build_case(SPEEDUP_CASE)
     mapping = compile_mapping(h, MappingSpec(kind="jw", n_modes=h.n_modes))
     circuit = to_cx_u3(trotter_circuit(mapping.map(h), order="mutual"))
@@ -104,13 +105,12 @@ def speedup():
     graph = architecture("manhattan")
     times = {}
     routed = {}
-    for backend in ("vector", "scalar"):
+    for backend, route in (("vector", route_circuit),
+                           ("scalar", router_oracle.route_circuit)):
         best = float("inf")
         for _ in range(SPEEDUP_REPEATS):
             start = time.perf_counter()
-            routed[backend] = route_circuit(
-                circuit, graph, lookahead=DEEP_LOOKAHEAD, backend=backend
-            )
+            routed[backend] = route(circuit, graph, lookahead=DEEP_LOOKAHEAD)
             best = min(best, time.perf_counter() - start)
         times[backend] = best
     return circuit, routed, times
@@ -166,7 +166,7 @@ def test_table4_electronic_aggregate(table4):
 
 
 def test_router_backends_bit_identical(table4):
-    """Both engines produce identical gate sequences at several horizons."""
+    """Router and oracle produce identical gate sequences at several horizons."""
     from repro.circuits import architecture
 
     case = CASES[0]
@@ -176,8 +176,8 @@ def test_router_backends_bit_identical(table4):
     for arch in ARCHITECTURES:
         graph = architecture(arch)
         for lookahead in (4, 64, 256, DEEP_LOOKAHEAD):
-            vec = route_circuit(circuit, graph, lookahead=lookahead, backend="vector")
-            sca = route_circuit(circuit, graph, lookahead=lookahead, backend="scalar")
+            vec = route_circuit(circuit, graph, lookahead=lookahead)
+            sca = router_oracle.route_circuit(circuit, graph, lookahead=lookahead)
             assert vec.circuit.gates == sca.circuit.gates, (arch, lookahead)
             assert vec.final_layout == sca.final_layout, (arch, lookahead)
 

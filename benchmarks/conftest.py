@@ -9,9 +9,12 @@ import os
 import sys
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+_ROOT = Path(__file__).resolve().parents[1]
+# src/ for the package, tests/ for the reference oracles the speedup floors
+# are measured against (``from oracles import ...``).
+for _path in (_ROOT / "src", _ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 FULL = os.environ.get("REPRO_FULL", "0") not in ("0", "", "false")
 

@@ -16,44 +16,30 @@ from ..paulis import QubitOperator
 __all__ = ["commutator_weight", "trotter_error_bound", "empirical_trotter_error"]
 
 
-def commutator_weight(h: QubitOperator, backend: str = "table") -> float:
+def commutator_weight(h: QubitOperator) -> float:
     """``Σ_{i<j} |c_i||c_j| · ||[P_i, P_j]||`` with ``||[P_i,P_j]|| ∈ {0, 2}``.
 
     Only anticommuting Pauli pairs contribute; this is the quantity driving
-    the first-order Trotter error.  The default ``"table"`` backend evaluates
-    all pairs at once on the packed symplectic
-    :class:`~repro.paulis.PauliTable`; ``"scalar"`` keeps the original
-    per-pair Python loop as the cross-checked reference.
+    the first-order Trotter error.  All pairs are evaluated at once on the
+    packed symplectic :class:`~repro.paulis.PauliTable`.
     """
-    if backend == "table":
-        table, coeffs = h.to_table()
-        keep = table.weights() > 0  # drop the identity term
-        table = table.take(keep)
-        c = np.abs(coeffs[keep])
-        m = len(c)
-        if m < 2:
-            return 0.0
-        # Chunked accumulation of c·A·c (A = anticommutation matrix): sums
-        # every ordered anticommuting pair once, i.e. each unordered pair
-        # twice — exactly the 2·Σ_{i<j} weighting above — while keeping peak
-        # memory at chunk × m booleans instead of the full m × m matrix.
-        total = 0.0
-        chunk = 256
-        for lo in range(0, m, chunk):
-            hi = min(lo + chunk, m)
-            commute = table.take(slice(lo, hi)).commutation_matrix_with(table)
-            total += float(c[lo:hi] @ (~commute @ c))
-        return total
-    if backend != "scalar":
-        raise ValueError(f"unknown backend {backend!r}; expected 'table' or 'scalar'")
-    terms = [(s, abs(c)) for s, c in h.terms() if not s.is_identity]
+    table, coeffs = h.to_table()
+    keep = table.weights() > 0  # drop the identity term
+    table = table.take(keep)
+    c = np.abs(coeffs[keep])
+    m = len(c)
+    if m < 2:
+        return 0.0
+    # Chunked accumulation of c·A·c (A = anticommutation matrix): sums every
+    # ordered anticommuting pair once, i.e. each unordered pair twice —
+    # exactly the 2·Σ_{i<j} weighting above — while keeping peak memory at
+    # chunk × m booleans instead of the full m × m matrix.
     total = 0.0
-    for i in range(len(terms)):
-        si, ci = terms[i]
-        for j in range(i + 1, len(terms)):
-            sj, cj = terms[j]
-            if not si.commutes_with(sj):
-                total += 2.0 * ci * cj
+    chunk = 256
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        commute = table.take(slice(lo, hi)).commutation_matrix_with(table)
+        total += float(c[lo:hi] @ (~commute @ c))
     return total
 
 

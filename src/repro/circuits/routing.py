@@ -11,26 +11,21 @@ Lookahead model: the window is the next ``lookahead`` two-qubit gates with
 Near-term gates dominate (routing quality matches a short uniform window)
 while the long tail still breaks ties toward globally useful SWAPs.
 
-Two engines produce **bit-identical** gate sequences:
-
-* ``backend="scalar"`` — the reference implementation: per-candidate Python
-  dict scans over every window position, accumulating the float score
-  ``d_front + Σ_k w_k/32 · d_k``.  All weights are exact binary fractions
-  and all partial sums stay far below 2^53, so the float arithmetic is
-  exact and order-independent.
-* ``backend="vector"`` (default) — the same decisions from an incrementally
-  maintained *weighted pair multiset*: Trotter circuits repeat the same
-  logical pairs constantly, so the ``lookahead``-gate window collapses to a
-  bounded set of (pair, weight) slots, and each SWAP decision scores all
-  candidate edges against all slots as one integer ``(2, max_degree, K)``
-  kernel over the cached all-pairs distance matrix.  Integer scores are
-  exactly 32x the scalar engine's, so both engines rank every candidate
-  identically; decision cost is independent of the window length.
+Engine: decisions come from an incrementally maintained *weighted pair
+multiset*.  Trotter circuits repeat the same logical pairs constantly, so
+the ``lookahead``-gate window collapses to a bounded set of (pair, weight)
+slots, and each SWAP decision scores all candidate edges against all slots
+as one integer ``(2, max_degree, K)`` kernel over the cached all-pairs
+distance matrix; decision cost is independent of the window length.  The
+integer scores are exactly 32x the float score ``d_front + Σ_k w_k/32 · d_k``
+of a per-candidate dict scan over every window position — the reference
+router in ``tests/oracles/routing.py``, which the property suite and the
+Table IV bench hold bit-identical to this engine.
 
 Determinism: candidate swap edges are enumerated in sorted order (front-gate
 endpoints in gate order, neighbours ascending) and ties always break toward
 the first candidate, so routing the same circuit twice yields the same gate
-sequence on either backend.
+sequence.
 """
 
 from __future__ import annotations
@@ -49,23 +44,17 @@ __all__ = [
     "RoutedCircuit",
     "initial_layout",
     "distance_matrix",
-    "ROUTER_BACKENDS",
     "DEFAULT_LOOKAHEAD",
 ]
 
-#: Router engines; both yield identical circuits (the property suite and the
-#: Table IV bench cross-check them), only wall time differs.
-ROUTER_BACKENDS = ("vector", "scalar")
-
 #: Default lookahead horizon (number of upcoming two-qubit gates scored per
-#: candidate SWAP).  Deep horizons are nearly free on the vector engine —
-#: the weighted-multiset kernel is O(distinct pairs), not O(horizon).
+#: candidate SWAP).  Deep horizons are nearly free: the weighted-multiset
+#: kernel is O(distinct pairs), not O(horizon).
 DEFAULT_LOOKAHEAD = 256
 
 #: Decay schedule: window offsets below ``_TIER_BOUNDS[i]`` get weight
 #: ``_TIER_WEIGHTS[i]``; offsets past the last bound get the final weight.
-#: The front gate weighs ``_FRONT_WEIGHT``.  The scalar engine uses the same
-#: weights divided by 32 (exact binary fractions).
+#: The front gate weighs ``_FRONT_WEIGHT``.
 _TIER_BOUNDS = (4, 16, 64)
 _TIER_WEIGHTS = (8, 4, 2, 1)
 _FRONT_WEIGHT = 32
@@ -232,7 +221,6 @@ def route_circuit(
     circuit: Circuit,
     graph: nx.Graph,
     lookahead: int = DEFAULT_LOOKAHEAD,
-    backend: str = "vector",
 ) -> RoutedCircuit:
     """Map ``circuit`` onto ``graph``; inserted SWAPs count as 3 CX.
 
@@ -240,10 +228,6 @@ def route_circuit(
     where each logical ended up (routing permutes qubits; semantics are
     preserved modulo that output permutation).
     """
-    if backend not in ROUTER_BACKENDS:
-        raise ValueError(
-            f"unknown router backend {backend!r}; expected one of {ROUTER_BACKENDS}"
-        )
     if lookahead < 0:
         raise ValueError(f"lookahead must be non-negative, got {lookahead}")
     if circuit.n_qubits > graph.number_of_nodes():
@@ -253,15 +237,13 @@ def route_circuit(
         )
     dist = distance_matrix(graph)  # also validates node labels + connectivity
     layout = initial_layout(circuit, graph)
-    route = _route_vector if backend == "vector" else _route_scalar
     started = _perf_counter()
-    routed = route(circuit, graph, dist, layout, lookahead)
+    routed = _route(circuit, graph, dist, layout, lookahead)
     from ..obs.metrics import get_registry
 
     get_registry().histogram(
         "repro_routing_seconds",
-        help="Wall time of SWAP-insertion routing runs, by backend.",
-        backend=backend,
+        help="Wall time of SWAP-insertion routing runs.",
     ).observe(_perf_counter() - started)
     return routed
 
@@ -279,8 +261,7 @@ def _relabel(gate: Gate, qubits: tuple[int, ...]) -> Gate:
 
     Bypasses dataclass validation: the name/params come from an already
     validated gate and the qubits are in-range physical indices by
-    construction.  Both engines emit through this, so the benchmarked gap
-    between them is the scoring work, not object-construction overhead.
+    construction.
     """
     g = _GATE_NEW(Gate)
     _SET(g, "name", gate.name)
@@ -295,73 +276,6 @@ def _swap_gate(p1: int, p2: int) -> Gate:
     _SET(g, "qubits", (p1, p2))
     _SET(g, "params", ())
     return g
-
-
-def _route_scalar(
-    circuit: Circuit,
-    graph: nx.Graph,
-    dist: np.ndarray,
-    layout: dict[int, int],
-    lookahead: int,
-) -> RoutedCircuit:
-    """Reference engine: per-candidate Python dict scans over the window."""
-    d: dict[int, dict[int, int]] = {
-        v: {u: int(x) for u, x in enumerate(row)} for v, row in enumerate(dist)
-    }
-    adj = _sorted_adjacency(graph)
-    weights = [_offset_weight(k) / _FRONT_WEIGHT for k in range(lookahead)]
-    phys_of = dict(layout)
-    logical_of = {p: q for q, p in phys_of.items()}
-    out_gates: list[Gate] = []
-    pairs = _two_qubit_pairs(circuit)
-
-    def do_swap(p1: int, p2: int) -> None:
-        out_gates.append(_swap_gate(p1, p2))
-        l1, l2 = logical_of.get(p1), logical_of.get(p2)
-        if l1 is not None:
-            phys_of[l1] = p2
-        if l2 is not None:
-            phys_of[l2] = p1
-        logical_of[p1], logical_of[p2] = l2, l1
-
-    t = 0  # index of the current gate within the two-qubit sequence
-    for gate in circuit.gates:
-        if len(gate.qubits) == 1:
-            out_gates.append(_relabel(gate, (phys_of[gate.qubits[0]],)))
-            continue
-        window = pairs[t + 1 : t + 1 + lookahead]
-        t += 1
-        a, b = gate.qubits
-        while d[phys_of[a]][phys_of[b]] > 1:
-            pa, pb = phys_of[a], phys_of[b]
-            best, best_score = None, None
-            for anchor, other in ((pa, pb), (pb, pa)):
-                threshold = d[anchor][other]
-                for nb in adj[anchor]:
-                    base = d[nb][other]
-                    if base >= threshold:
-                        continue
-                    score = float(base)
-                    for k, (la, lb) in enumerate(window):
-                        qa, qb = phys_of[la], phys_of[lb]
-                        # Effect of the candidate swap on this future pair.
-                        if qa == anchor:
-                            qa = nb
-                        elif qa == nb:
-                            qa = anchor
-                        if qb == anchor:
-                            qb = nb
-                        elif qb == nb:
-                            qb = anchor
-                        score += weights[k] * d[qa][qb]
-                    if best_score is None or score < best_score:
-                        best_score, best = score, (anchor, nb)
-            assert best is not None, "no distance-reducing swap found"
-            do_swap(*best)
-        out_gates.append(_relabel(gate, (phys_of[a], phys_of[b])))
-    out = Circuit(graph.number_of_nodes())
-    out.gates = out_gates  # trusted: every index is a valid physical qubit
-    return RoutedCircuit(out, layout, dict(phys_of))
 
 
 class _WeightedWindow:
@@ -431,14 +345,14 @@ class _WeightedWindow:
             self._bump(pairs[tail], self.tail_weight)
 
 
-def _route_vector(
+def _route(
     circuit: Circuit,
     graph: nx.Graph,
     dist: np.ndarray,
     layout: dict[int, int],
     lookahead: int,
 ) -> RoutedCircuit:
-    """Vectorized engine.
+    """Route ``circuit`` from ``layout``.
 
     Layout bookkeeping stays in plain Python (a list mirror of the numpy
     position array — single-element numpy indexing is slower than list
@@ -475,7 +389,7 @@ def _route_vector(
             pa, pb = phys_list[a], phys_list[b]
             front = d[pa][pb]
             # Cheap pre-scan: with a single distance-reducing edge there is
-            # nothing to score (both engines would pick it unconditionally).
+            # nothing to score (it wins unconditionally).
             sole = None
             n_candidates = 0
             for anchor, other in ((pa, pb), (pb, pa)):
@@ -504,7 +418,7 @@ def _route_vector(
                 scores = np.where(
                     keep, base * _FRONT_WEIGHT + future, _SCORE_INF
                 )
-                k = int(np.argmin(scores))  # first minimum == scalar tie-break
+                k = int(np.argmin(scores))  # first minimum breaks ties
                 p1 = (pa, pb)[k // nbs.shape[1]]
                 p2 = int(nbs.flat[k])
             out_gates.append(_swap_gate(p1, p2))

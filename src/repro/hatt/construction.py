@@ -48,26 +48,23 @@ and tie-breaks bit for bit.  Anchors assign deterministically: the first
 internal node takes the highest-degree free physical qubit (ties toward the
 lowest node id, matching the router's ``initial_layout`` rank) and each
 later parent takes the free physical qubit minimizing the summed distance
-to its already-anchored children.  Both backends share the anchor state and
-penalty table, so scalar and vector stay bit-identical in this mode too.
+to its already-anchored children.
 
-Construction backends
----------------------
-``backend="vector"`` (default) stores the per-node masks as an
-``(n_nodes, n_words)`` packed-uint64 matrix
-(:func:`repro.paulis.table.pack_incidence`) and evaluates **all** candidate
-weights of a selection step in one broadcast NumPy kernel: the full
+Engine
+------
+The per-node masks live in an ``(n_nodes, n_words)`` packed-uint64 matrix
+(:func:`repro.paulis.table.pack_incidence`) and **all** candidate weights of
+a selection step are evaluated in one broadcast NumPy kernel: the full
 upper-triangular ``(A, B, C)`` grid for Algorithm 1 and the ``(O_X, O_Z)``
 pair grid for Algorithms 2/3, chunked under ``memory_budget`` bytes of
 intermediate arrays.  State is maintained incrementally — row-XOR reduction
 into the matrix, ``mdown``/``mup`` as int arrays, O(1) swap-removal from the
 working array — and candidates are always enumerated over the uid-sorted
-working set, which reproduces the scalar backend's deterministic
-first-minimum tie-breaking bit for bit (the scalar working list stays
-uid-sorted by construction).  ``backend="scalar"`` keeps the original
-per-candidate Python big-int scan as the cross-checked reference; the
-property suite asserts identical traces and trees across the full
-``vacuum``/``cached`` matrix.
+working set, so ties resolve to the first lexicographic minimum of a plain
+per-candidate scan.  That scan — Python big-int masks, ``TreeNode``
+traversals — lives in ``tests/oracles/hatt.py``; the property suite asserts
+identical traces and trees across the full ``vacuum``/``cached``/``graph``
+matrix.
 
 Measured complexity (Fig. 12, ``HF = Σ_i M_i``)
 -----------------------------------------------
@@ -76,13 +73,13 @@ Per selection step the paired scan evaluates ``O(N)`` candidate pairs times
 ``O(terms/64)`` words; over ``N`` steps that is the paper's O(N³)
 (Algorithm 3) and O(N⁴) (Algorithm 1) term-popcount totals.  The fitted
 log-log slopes in ``BENCH_fig12.json`` sit *below* those exponents for both
-backends (scalar ≈ N^2.7 vs vector ≈ N^1.2 for HATT, ≈ N^4.1 vs N^1.8–2.6
-for the free variant on the bench sizes): the Fig. 12 Hamiltonian has only
-``2N`` single-index terms, so the per-candidate popcount stays a word or
-two throughout and fixed Python/NumPy per-step constants — not the
+the kernel and the scalar oracle (oracle ≈ N^2.7 vs kernel ≈ N^1.2 for
+HATT, ≈ N^4.1 vs N^1.8–2.6 for the free variant on the bench sizes): the
+Fig. 12 Hamiltonian has only ``2N`` single-index terms, so the per-candidate
+popcount stays a word or two throughout and fixed Python/NumPy per-step constants — not the
 asymptotic word count — dominate at small ``N``, flattening the measured
 curves.  The paper's exponents are upper bounds that the sweep approaches
-from below as ``N`` (and the term count) grows — visibly so for the scalar
+from below as ``N`` (and the term count) grows — visibly so for the oracle's
 free scan, whose measured slope already matches the predicted N⁴.
 """
 
@@ -90,20 +87,18 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import combinations
 
 import numpy as np
 
 from ..fermion import FermionOperator, MajoranaOperator, majorana_form
 from ..mappings.base import FermionQubitMapping
-from ..mappings.tree import TernaryTree, TreeNode, tree_from_uid_arrays
+from ..mappings.tree import TernaryTree, tree_from_uid_arrays
 from ..paulis.table import pack_incidence
 
 __all__ = [
     "HattConstruction",
     "hatt_mapping",
     "Selection",
-    "BACKENDS",
     "DEFAULT_MEMORY_BUDGET",
     "ARCH_WEIGHT_SCALE",
     "DEFAULT_ARCH_WEIGHT",
@@ -112,15 +107,12 @@ __all__ = [
 #: One construction step: (qubit, (uid_X, uid_Y, uid_Z), weight_on_qubit).
 Selection = tuple[int, tuple[int, int, int], int]
 
-#: Supported construction backends.
-BACKENDS = ("vector", "scalar")
-
-#: Default cap on the vector backend's intermediate candidate-grid arrays.
+#: Default cap on the selection kernels' intermediate candidate-grid arrays.
 DEFAULT_MEMORY_BUDGET = 128 * 1024 * 1024
 
 #: Fixed-point grid for the architecture blend: candidate scores are the
 #: integers ``ARCH_WEIGHT_SCALE·weight + round(arch_weight·SCALE)·penalty``,
-#: so both backends compare identically and ``arch_weight`` is effectively
+#: so every scan compares identically and ``arch_weight`` is effectively
 #: quantized to multiples of ``1/ARCH_WEIGHT_SCALE``.
 ARCH_WEIGHT_SCALE = 64
 
@@ -148,13 +140,8 @@ class HattConstruction:
         Only meaningful with ``vacuum=True``.  ``True`` → Algorithm 3's O(1)
         ``mdown``/``mup`` maps; ``False`` → explicit O(N) tree traversals.
         Both produce identical trees (tested); only the complexity differs.
-    backend:
-        ``"vector"`` (default) → packed-bitmask broadcast kernels evaluating
-        every candidate of a step at once; ``"scalar"`` → the original
-        per-candidate Python scan.  Both produce identical traces and trees
-        (tested); only the speed differs.
     memory_budget:
-        Approximate byte cap on the vector backend's per-step intermediate
+        Approximate byte cap on the selection kernels' per-step intermediate
         arrays; large candidate grids are chunked to stay under it.
     graph:
         Optional hardware coupling graph (``networkx`` graph with integer
@@ -175,7 +162,6 @@ class HattConstruction:
         n_modes: int,
         vacuum: bool = True,
         cached: bool = True,
-        backend: str = "vector",
         memory_budget: int | None = None,
         graph=None,
         arch_weight: float | None = None,
@@ -187,12 +173,9 @@ class HattConstruction:
                 f"Hamiltonian touches Majorana index {hamiltonian.n_majoranas - 1} "
                 f"but n_modes={n_modes} provides only indices < {2 * n_modes}"
             )
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         self.n = n_modes
         self.vacuum = vacuum
         self.cached = cached
-        self.backend = backend
         self.memory_budget = (
             DEFAULT_MEMORY_BUDGET if memory_budget is None else int(memory_budget)
         )
@@ -206,39 +189,13 @@ class HattConstruction:
 
         n_leaves = 2 * n_modes + 1
         self._n_leaves = n_leaves
-        if backend == "vector":
-            self._init_vector(n_leaves)
-        else:
-            self._init_scalar(n_leaves)
+        self._init_state(n_leaves)
         self._init_arch(graph, arch_weight)
 
     # ------------------------------------------------------------------
-    # Backend state initialization
+    # State initialization
     # ------------------------------------------------------------------
-    def _init_scalar(self, n_leaves: int) -> None:
-        n_total = n_leaves + self.n
-        self.nodes: list[TreeNode] = [TreeNode(leaf_index=i) for i in range(n_leaves)]
-        # Term-membership bitmask per node (uid-indexed), as Python big-ints.
-        self.masks: list[int] = [0] * n_leaves
-        for t, term in enumerate(self.terms):
-            bit = 1 << t
-            for idx in term:
-                self.masks[idx] |= bit
-        # Working set U.  Removals preserve order and the new parent always
-        # carries the largest uid, so the list stays uid-sorted throughout —
-        # the invariant the vector backend relies on for identical
-        # tie-breaking.
-        self.working: list[int] = list(range(n_leaves))
-        # Persistent membership flags (uid-indexed), maintained by _reduce so
-        # the Algorithm-2 traversal never rebuilds a set per call.
-        self._in_working = bytearray(n_total)
-        for i in range(n_leaves):
-            self._in_working[i] = 1
-        # Algorithm 3 maps: uid -> descZ leaf uid, and inverse.
-        self.mdown: dict[int, int] = {i: i for i in range(n_leaves)}
-        self.mup: dict[int, int] = {i: i for i in range(n_leaves)}
-
-    def _init_vector(self, n_leaves: int) -> None:
+    def _init_state(self, n_leaves: int) -> None:
         n_total = n_leaves + self.n
         # Packed term-membership masks, one row per uid; parent rows are
         # filled in place by the row-XOR reduction.
@@ -253,8 +210,8 @@ class HattConstruction:
         self._wpos = np.full(n_total, -1, dtype=np.intp)
         self._wpos[:n_leaves] = np.arange(n_leaves, dtype=np.intp)
         self._n_working = n_leaves
-        self._in_working_arr = np.zeros(n_total, dtype=bool)
-        self._in_working_arr[:n_leaves] = True
+        self._in_working = np.zeros(n_total, dtype=bool)
+        self._in_working[:n_leaves] = True
         # Algorithm 3 maps and tree topology as flat int arrays.
         self._mdown = np.full(n_total, -1, dtype=np.intp)
         self._mdown[:n_leaves] = np.arange(n_leaves, dtype=np.intp)
@@ -301,7 +258,6 @@ class HattConstruction:
         pen = np.zeros((n_phys + 1, n_phys + 1), dtype=np.int64)
         pen[:n_phys, :n_phys] = np.maximum(dist.astype(np.int64) - 1, 0)
         self._pen = pen
-        self._pen_list: list[list[int]] = pen.tolist()
         self._dist_list: list[list[int]] = dist.tolist()
         # Anchor placement rank: high degree first, node id breaking ties —
         # the same preference the router's initial_layout uses.
@@ -310,28 +266,13 @@ class HattConstruction:
         self._anchor = [-1] * (self._n_leaves + self.n)
 
     # ------------------------------------------------------------------
-    # Weight oracle (scalar)
+    # Architecture anchor bookkeeping
     # ------------------------------------------------------------------
-    def _weight_on_qubit(self, a: int, b: int, c: int) -> int:
-        ma, mb, mc = self.masks[a], self.masks[b], self.masks[c]
-        return ((ma | mb | mc) & ~(ma & mb & mc)).bit_count()
-
-    # ------------------------------------------------------------------
-    # Architecture penalty + anchor bookkeeping (backend-shared)
-    # ------------------------------------------------------------------
-    def _penalty3(self, a: int, b: int, c: int) -> int:
-        """Summed pairwise anchor penalty of a candidate triple; anchor -1
-        indexes the zero sentinel row, so unanchored nodes contribute 0."""
-        anc = self._anchor
-        pen = self._pen_list
-        pa, pb, pc = anc[a], anc[b], anc[c]
-        return pen[pa][pb] + pen[pa][pc] + pen[pb][pc]
-
     def _assign_anchor(self, parent_uid: int, children: tuple[int, int, int]) -> None:
         """Greedily pin the new internal node to a free physical qubit:
         closest (by summed distance) to its already-anchored children, or the
-        highest-rank free node when all children are leaves.  Deterministic
-        (rank order breaks all ties) and shared by both backends."""
+        highest-rank free node when all children are leaves.  Deterministic:
+        rank order breaks all ties."""
         anchors = [self._anchor[u] for u in children if self._anchor[u] >= 0]
         dist = self._dist_list
         best = None
@@ -359,109 +300,28 @@ class HattConstruction:
     # ------------------------------------------------------------------
     def _desc_z(self, uid: int) -> int:
         if self.cached:
-            return self.mdown[uid]
-        node = self.nodes[uid].desc_z()
-        return node.leaf_index  # leaves have uid == leaf_index
-
-    def _traverse_up(self, leaf_uid: int) -> int:
-        if self.cached:
-            return self.mup[leaf_uid]
-        node = self.nodes[leaf_uid]
-        uid = leaf_uid
-        while not self._in_working[uid]:
-            node = node.parent
-            uid = self._uid_of[id(node)]
-        return uid
-
-    def _desc_z_vec(self, uid: int) -> int:
-        if self.cached:
             return int(self._mdown[uid])
         while self._child_z[uid] >= 0:
             uid = int(self._child_z[uid])
         return uid
 
-    def _traverse_up_vec(self, leaf_uid: int) -> int:
+    def _traverse_up(self, leaf_uid: int) -> int:
         if self.cached:
             return int(self._mup[leaf_uid])
         uid = leaf_uid
-        while not self._in_working_arr[uid]:
+        while not self._in_working[uid]:
             uid = int(self._parent[uid])
         return uid
 
     # ------------------------------------------------------------------
-    # Selection rules (scalar reference)
-    # ------------------------------------------------------------------
-    def _select_free(self, qubit: int) -> tuple[tuple[int, int, int], int]:
-        """Algorithm 1: scan unordered triples (weight is symmetric in the
-        children, so combinations suffice — the X/Y/Z roles follow U order).
-        In arch mode the scan key is the blended integer score; without a
-        graph the score *is* the weight, so plain behaviour is untouched."""
-        arch = self._arch
-        aw = self._aw_int
-        best: tuple[int, int, int] | None = None
-        best_w = None
-        best_s = None
-        for a, b, c in combinations(self.working, 3):
-            w = self._weight_on_qubit(a, b, c)
-            s = ARCH_WEIGHT_SCALE * w + aw * self._penalty3(a, b, c) if arch else w
-            if best_s is None or s < best_s:
-                best_s, best_w, best = s, w, (a, b, c)
-                if s == 0:
-                    break
-        assert best is not None and best_w is not None
-        return best, best_w
-
-    def _select_paired(self, qubit: int) -> tuple[tuple[int, int, int], int]:
-        """Algorithm 2: pick (O_X, O_Z); O_Y is forced by leaf pairing."""
-        last_leaf = 2 * self.n
-        arch = self._arch
-        aw = self._aw_int
-        best: tuple[int, int, int] | None = None
-        best_w = None
-        best_s = None
-        for ox in self.working:
-            x_leaf = self._desc_z(ox)
-            if x_leaf == last_leaf:
-                # S_2N is the discarded string and never pairs (paper §IV-B).
-                continue
-            y_leaf = x_leaf + 1 if x_leaf % 2 == 0 else x_leaf - 1
-            oy = self._traverse_up(y_leaf)
-            if oy == ox:
-                continue
-            # The (X, Y) roles must put the even leaf under the X branch.
-            cx, cy = (ox, oy) if x_leaf % 2 == 0 else (oy, ox)
-            for oz in self.working:
-                if oz == ox or oz == oy:
-                    continue
-                w = self._weight_on_qubit(cx, cy, oz)
-                s = (
-                    ARCH_WEIGHT_SCALE * w + aw * self._penalty3(cx, cy, oz)
-                    if arch
-                    else w
-                )
-                if best_s is None or s < best_s:
-                    best_s, best_w, best = s, w, (cx, cy, oz)
-                    if s == 0:
-                        break
-            if best_s == 0:
-                # Scores can't go below zero; the first zero-score candidate
-                # in scan order is final, so skip the remaining evaluation.
-                break
-        if best is None or best_w is None:
-            raise RuntimeError(
-                "no valid (O_X, O_Z) selection found — tree state is corrupt"
-            )
-        return best, best_w
-
-    # ------------------------------------------------------------------
-    # Selection rules (vectorized broadcast kernels)
+    # Selection rules (broadcast kernels)
     # ------------------------------------------------------------------
     def _sorted_working(self) -> np.ndarray:
         """Live working-set uids in ascending order.
 
-        The swap-managed array is unordered; sorting restores the scalar
-        backend's (always uid-sorted) scan order so both backends break
-        weight ties identically.
+        The swap-managed array is unordered; sorting restores uid order, so
+        weight ties break exactly as in a per-candidate scan of a uid-sorted
+        working list.
         """
         return np.sort(self._warr[: self._n_working])
 
@@ -470,7 +330,7 @@ class HattConstruction:
         """Smallest unsigned dtype that can hold a ``64 * n_words`` popcount."""
         return np.uint16 if n_words <= 1023 else np.uint32
 
-    def _select_free_vector(self, qubit: int) -> tuple[tuple[int, int, int], int]:
+    def _select_free(self, qubit: int) -> tuple[tuple[int, int, int], int]:
         """Algorithm 1, one broadcast kernel over all C(m, 3) candidate triples.
 
         Enumerates exactly the upper-triangular ``a < b < c`` candidates: the
@@ -479,8 +339,8 @@ class HattConstruction:
         no dense cube is built and no sentinel masking is needed.  Pairs are
         chunked so the candidate arrays stay under ``memory_budget`` bytes.
         The winner is the minimum-weight candidate with the lexicographically
-        smallest ``(a, b, c)`` — exactly the scalar scan's first strict
-        minimum over ``combinations``.
+        smallest ``(a, b, c)`` — exactly a scan's first strict minimum over
+        ``itertools.combinations``.
         """
         uids = self._sorted_working()
         m = len(uids)
@@ -567,14 +427,15 @@ class HattConstruction:
         assert best is not None and best_w is not None
         return best, best_w
 
-    def _select_paired_vector(self, qubit: int) -> tuple[tuple[int, int, int], int]:
+    def _select_paired(self, qubit: int) -> tuple[tuple[int, int, int], int]:
         """Algorithms 2/3, one broadcast kernel over the (O_X, O_Z) grid.
 
         Valid ``O_X`` rows (pair partner exists and differs) are resolved via
         the int-array ``mdown``/``mup`` maps (or the explicit array
         traversals when ``cached=False``), then every ``O_Z`` column is
         scored at once; masked entries take a sentinel weight so the flat
-        row-major argmin reproduces the scalar double loop's tie-breaking.
+        row-major argmin reproduces a ``for O_X: for O_Z:`` double loop's
+        tie-breaking.
         """
         uids = self._sorted_working()
         m = len(uids)
@@ -586,10 +447,10 @@ class HattConstruction:
             oy = self._mup[x_leaf ^ 1]
         else:
             x_leaf = np.fromiter(
-                (self._desc_z_vec(int(u)) for u in uids), dtype=np.intp, count=m
+                (self._desc_z(int(u)) for u in uids), dtype=np.intp, count=m
             )
             oy = np.fromiter(
-                (self._traverse_up_vec(int(x) ^ 1) if x != last_leaf else -1
+                (self._traverse_up(int(x) ^ 1) if x != last_leaf else -1
                  for x in x_leaf),
                 dtype=np.intp,
                 count=m,
@@ -615,7 +476,7 @@ class HattConstruction:
             pen = self._pen
             aw_int = self._aw_int
             pen_xy = pen[anc_x, anc_y]
-        # Per-word flat precomputations; see _select_free_vector.
+        # Per-word flat precomputations; see _select_free.
         cols = [self._rows[:, k] for k in range(n_words)]
         pre_or = [(col[cx] | col[cy])[:, None] for col in cols]
         pre_and = [(col[cx] & col[cy])[:, None] for col in cols]
@@ -672,35 +533,6 @@ class HattConstruction:
     # ------------------------------------------------------------------
     def _reduce(self, qubit: int, children: tuple[int, int, int]) -> None:
         self._children.append(children)
-        if self.backend == "vector":
-            self._reduce_vector(children)
-        else:
-            self._reduce_scalar(qubit, children)
-        if self._arch:
-            # Both backends number the new parent n_leaves + qubit.
-            self._assign_anchor(self._n_leaves + qubit, children)
-
-    def _reduce_scalar(self, qubit: int, children: tuple[int, int, int]) -> None:
-        cx, cy, cz = children
-        parent_uid = len(self.nodes)
-        parent = TreeNode(qubit=qubit)
-        for branch, uid in zip("XYZ", children):
-            parent.attach(branch, self.nodes[uid])
-        self.nodes.append(parent)
-        self._uid_of[id(parent)] = parent_uid
-        self.masks.append(self.masks[cx] ^ self.masks[cy] ^ self.masks[cz])
-        for uid in children:
-            self.working.remove(uid)
-            self._in_working[uid] = 0
-        self.working.append(parent_uid)
-        self._in_working[parent_uid] = 1
-        # Maintain the Algorithm-3 maps: the new parent inherits its Z child's
-        # Z-descendant; (descZ(X), descZ(Y)) just became a Majorana pair.
-        z_desc = self.mdown[cz]
-        self.mdown[parent_uid] = z_desc
-        self.mup[z_desc] = parent_uid
-
-    def _reduce_vector(self, children: tuple[int, int, int]) -> None:
         cx, cy, cz = children
         parent_uid = self._n_nodes
         self._n_nodes += 1
@@ -719,14 +551,18 @@ class HattConstruction:
             self._wpos[last_uid] = pos
             self._wpos[uid] = -1
             self._n_working = last
-            self._in_working_arr[uid] = False
+            self._in_working[uid] = False
         self._warr[self._n_working] = parent_uid
         self._wpos[parent_uid] = self._n_working
         self._n_working += 1
-        self._in_working_arr[parent_uid] = True
+        self._in_working[parent_uid] = True
+        # Maintain the Algorithm-3 maps: the new parent inherits its Z child's
+        # Z-descendant; (descZ(X), descZ(Y)) just became a Majorana pair.
         z_desc = int(self._mdown[cz])
         self._mdown[parent_uid] = z_desc
         self._mup[z_desc] = parent_uid
+        if self._arch:
+            self._assign_anchor(parent_uid, children)
 
     # ------------------------------------------------------------------
     # Driver
@@ -734,21 +570,13 @@ class HattConstruction:
     def run(self) -> TernaryTree:
         if self._done:
             raise RuntimeError("construction already ran")
-        if self.backend == "vector":
-            select = self._select_paired_vector if self.vacuum else self._select_free_vector
-        else:
-            self._uid_of = {id(node): uid for uid, node in enumerate(self.nodes)}
-            select = self._select_paired if self.vacuum else self._select_free
+        select = self._select_paired if self.vacuum else self._select_free
         for qubit in range(self.n):
             children, w = select(qubit)
             self.trace.append((qubit, children, w))
             self._reduce(qubit, children)
         self._done = True
-        if self.backend == "vector":
-            tree = tree_from_uid_arrays(self._children, self.n)
-        else:
-            (root_uid,) = self.working
-            tree = TernaryTree(self.nodes[root_uid], self.n)
+        tree = tree_from_uid_arrays(self._children, self.n)
         tree.validate()
         return tree
 
@@ -769,7 +597,6 @@ def hatt_mapping(
     n_modes: int | None = None,
     vacuum: bool = True,
     cached: bool = True,
-    backend: str = "vector",
     memory_budget: int | None = None,
     graph=None,
     arch_weight: float | None = None,
@@ -790,7 +617,6 @@ def hatt_mapping(
         n_modes,
         vacuum=vacuum,
         cached=cached,
-        backend=backend,
         memory_budget=memory_budget,
         graph=graph,
         arch_weight=arch_weight,

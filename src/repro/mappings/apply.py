@@ -5,15 +5,12 @@ This is the bulk path used by every experiment: it converts a
 the larger molecules) into a :class:`~repro.paulis.QubitOperator` by
 multiplying the mapped Majorana Pauli strings with exact phase tracking.
 
-Two backends are provided:
-
-* ``"table"`` (default) — the operator's monomials are multiplied as batched
-  rows of a packed :class:`~repro.paulis.PauliTable`: padding with a virtual
-  identity row makes the whole batch cost ``max_len - 1`` vectorized
-  multiplication steps no matter how many thousands of terms it holds;
-* ``"scalar"`` — the original per-term Python loop over raw ``(x, z, k)``
-  integer triples, kept as the reference implementation and cross-checked
-  against the table backend in the property tests.
+The operator's monomials are multiplied as batched rows of a packed
+:class:`~repro.paulis.PauliTable`: padding with a virtual identity row makes
+the whole batch cost ``max_len - 1`` vectorized multiplication steps no
+matter how many thousands of terms it holds.  The per-term loop over raw
+``(x, z, k)`` integer triples it replaced lives in
+``tests/oracles/pauli.py``, where the property tests check the two agree.
 
 The mapping may be given either as a list of :class:`~repro.paulis.PauliString`
 or as an already-packed :class:`~repro.paulis.PauliTable` (see
@@ -25,25 +22,22 @@ from __future__ import annotations
 
 from ..fermion import FermionOperator, MajoranaOperator, majorana_form
 from ..paulis import PauliString, QubitOperator
-from ..paulis.algebra import mul_xzk
 from ..paulis.table import PauliTable
 
 __all__ = ["map_majorana_operator", "map_fermion_operator"]
 
-_PHASE = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-
 
 def _validate_qubit_counts(
     strings: "list[PauliString] | PauliTable", n_qubits: int
-) -> int:
-    """Check every Majorana string acts on ``n_qubits``; return the count."""
+) -> None:
+    """Check every Majorana string acts on ``n_qubits``."""
     if isinstance(strings, PauliTable):
         if strings.n != n_qubits:
             raise ValueError(
                 f"Majorana table acts on {strings.n} qubits but the target "
                 f"operator was requested on n_qubits={n_qubits}"
             )
-        return strings.n_terms
+        return
     if not strings:
         raise ValueError("no Majorana strings supplied")
     for i, s in enumerate(strings):
@@ -52,7 +46,6 @@ def _validate_qubit_counts(
                 f"Majorana string {i} acts on {s.n} qubits but the target "
                 f"operator was requested on n_qubits={n_qubits}"
             )
-    return len(strings)
 
 
 def _check_coverage(n_majoranas: int, n_strings: int) -> None:
@@ -64,21 +57,6 @@ def _check_coverage(n_majoranas: int, n_strings: int) -> None:
             f"operator spans {n_modes} modes and needs {needed} Majorana "
             f"strings (2 per mode) but only {n_strings} were supplied"
         )
-
-
-def _map_majorana_scalar(
-    op: MajoranaOperator, strings: list[PauliString], n_qubits: int
-) -> QubitOperator:
-    """Reference implementation: per-term products on raw integer triples."""
-    raw = [(s.x, s.z, s.phase) for s in strings]
-    out = QubitOperator(n_qubits)
-    for indices, coeff in op.terms():
-        x = z = k = 0
-        for i in indices:
-            sx, sz, sk = raw[i]
-            x, z, k = mul_xzk(x, z, k, sx, sz, sk)
-        out.add_raw(x, z, coeff * _PHASE[k])
-    return out.simplify()
 
 
 def _map_majorana_table(op: MajoranaOperator, table: PauliTable) -> QubitOperator:
@@ -101,7 +79,6 @@ def map_majorana_operator(
     op: MajoranaOperator,
     strings: "list[PauliString] | PauliTable",
     n_qubits: int,
-    backend: str = "table",
 ) -> QubitOperator:
     """Map ``Σ c_T Π_{i∈T} M_i`` to ``Σ c_T Π_{i∈T} S_i``, combining terms.
 
@@ -110,40 +87,24 @@ def map_majorana_operator(
     on exactly ``n_qubits`` qubits and the table must cover all
     ``2 · n_modes`` Majoranas the operator spans.  Terms that cancel exactly
     disappear; the result is simplified to drop numerical dust below 1e-10.
-    ``backend`` selects ``"table"`` (vectorized, default) or ``"scalar"``
-    (reference loop).
-
-    The two backends return equal operators (term-order-insensitive ``==``)
-    but store terms differently: the table backend emits them in canonical
-    lexicographic ``(x, z)`` order, the scalar backend in insertion order.
-    Order-sensitive consumers (e.g. Trotter gate sequences) may therefore
-    compile to differently ordered — equally valid — circuits.
+    Terms come out in canonical lexicographic ``(x, z)`` order.
     """
-    n_strings = _validate_qubit_counts(strings, n_qubits)
-    if backend == "table":
-        table = (
-            strings
-            if isinstance(strings, PauliTable)
-            else PauliTable.from_strings(strings, n=n_qubits)
-        )
-        return _map_majorana_table(op, table)
-    if backend == "scalar":
-        _check_coverage(op.n_majoranas, n_strings)
-        scalar_strings = (
-            strings.to_strings() if isinstance(strings, PauliTable) else strings
-        )
-        return _map_majorana_scalar(op, scalar_strings, n_qubits)
-    raise ValueError(f"unknown backend {backend!r}; expected 'table' or 'scalar'")
+    _validate_qubit_counts(strings, n_qubits)
+    table = (
+        strings
+        if isinstance(strings, PauliTable)
+        else PauliTable.from_strings(strings, n=n_qubits)
+    )
+    return _map_majorana_table(op, table)
 
 
 def map_fermion_operator(
     op: FermionOperator,
     strings: "list[PauliString] | PauliTable",
     n_qubits: int,
-    backend: str = "table",
 ) -> QubitOperator:
     """Convenience wrapper: expand to Majoranas (paper Eq. 2) then map.
 
     The expansion is memoized on ``op`` (see :func:`repro.fermion.majorana_form`).
     """
-    return map_majorana_operator(majorana_form(op), strings, n_qubits, backend=backend)
+    return map_majorana_operator(majorana_form(op), strings, n_qubits)

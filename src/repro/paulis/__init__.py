@@ -1,6 +1,6 @@
 """Pauli algebra substrate: strings, sums, and raw symplectic helpers.
 
-Two interchangeable backends cover the Pauli arithmetic:
+Two interchangeable representations cover the Pauli arithmetic:
 
 * **scalar** — arbitrary-precision integer bitmask triples ``(x, z, k)``
   (:mod:`~repro.paulis.algebra`, :class:`PauliString`).  Exact, allocation-free
@@ -8,7 +8,7 @@ Two interchangeable backends cover the Pauli arithmetic:
 * **table** — :class:`PauliTable`, a batch of strings packed as rows of a
   ``uint64`` X|Z bit matrix plus a phase vector.  Row-wise products,
   commutation tests, weights and duplicate combination run as vectorized
-  NumPy kernels; this is the backend behind the bulk mapping and analysis
+  NumPy kernels; this is the representation behind the bulk mapping and analysis
   hot paths (``repro.mappings.apply``, ``repro.analysis``).
 
 The two are cross-checked on random operators (including >64-qubit,

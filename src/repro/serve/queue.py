@@ -267,7 +267,6 @@ def _run_request_traced(request: CompileRequest, service: MappingService) -> dic
     pipeline = CompilationPipeline(
         service=service,
         options=request.options(),
-        hatt_backend=request.hatt_backend,
         arch_weight=request.arch_weight,
     )
     metrics = pipeline.compile_one(h, request.kind, request.arch)

@@ -3,8 +3,8 @@
 A HATT compile is a pure function of the *physics* — the Hamiltonian's
 normal-ordered term content — and of the mapping configuration (mapping kind,
 vacuum pairing, mode count).  Everything else (term insertion order, floating
-point dust below tolerance, which construction backend evaluates the
-candidate kernels) must NOT change the result, so it must not change the
+point dust below tolerance, which construction algorithm evaluates the
+candidate weights) must NOT change the result, so it must not change the
 cache key either.  This module produces a hex SHA-256 digest with exactly
 those invariances:
 
@@ -14,9 +14,10 @@ those invariances:
   ``tol`` (default ``1e-12``, the algebra's own coefficient tolerance) and
   terms whose real and imaginary parts both snap to zero are dropped, so
   accumulation dust cannot fork the key;
-* **backend-independent** — the HATT ``backend``/``cached`` engine switches
-  are excluded from the config payload (both engines produce bit-identical
-  trees; the property suite enforces this);
+* **algorithm-independent** — the HATT ``cached`` switch (Algorithm 3's
+  O(1) maps vs Algorithm 2's traversals) is excluded from the config
+  payload (both produce bit-identical trees; the property suite enforces
+  this);
 * **process-stable** — the digest is SHA-256 over a canonical JSON document,
   never Python's salted ``hash()``, so keys agree across interpreter runs
   and machines.
@@ -89,15 +90,14 @@ class MappingSpec:
 
     ``kind``/``n_modes`` are cache-key material — plus ``arch`` and the
     quantized ``arch_weight`` for the architecture-adaptive ``hatt-arch``
-    kind; ``hatt_backend`` and ``cached`` select equivalent construction
-    engines and are deliberately *not* (see module docstring).
+    kind; ``cached`` selects between equivalent construction algorithms and
+    is deliberately *not* (see module docstring).
     ``n_modes=None`` means "infer from the Hamiltonian" — call
     :meth:`resolve` before fingerprinting or compiling.
     """
 
     kind: str
     n_modes: int | None = None
-    hatt_backend: str = "vector"
     cached: bool = True
     arch: str | None = None
     arch_weight: float | None = None

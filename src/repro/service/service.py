@@ -69,7 +69,6 @@ def compile_mapping(
             n_modes=n,
             vacuum=True,
             cached=spec.cached,
-            backend=spec.hatt_backend,
             graph=architecture(spec.arch),
             arch_weight=spec.arch_weight,
         )
@@ -79,7 +78,6 @@ def compile_mapping(
         n_modes=n,
         vacuum=spec.vacuum,
         cached=spec.cached,
-        backend=spec.hatt_backend,
     )
 
 

@@ -1,9 +1,9 @@
 """Simulation substrate: statevector engines, noise models, state preparation.
 
-Two dense engines share the same amplitude convention: the scalar
+Two dense engines share the same amplitude convention: the single-state
 :class:`Statevector` and the vectorized :class:`BatchedStatevector`, which
-drives the ``backend="batched"`` noisy-trajectory path (see
-:mod:`repro.sim.batched` for the memory model).
+drives the noisy-trajectory engine (see :mod:`repro.sim.batched` for the
+memory model).
 """
 
 from .batched import BatchedStatevector

@@ -79,29 +79,13 @@ class Statevector:
     # ------------------------------------------------------------------
     # Measurement-free observables
     # ------------------------------------------------------------------
-    def expectation(self, op: QubitOperator, backend: str = "table") -> float:
-        """⟨ψ|H|ψ⟩ for a Hermitian operator.
-
-        ``backend="table"`` (default) evaluates all terms in one pass through
-        the packed :meth:`repro.paulis.PauliTable.expectation_values` kernel;
-        ``backend="strings"`` is the original per-string loop, kept as the
-        cross-checked scalar reference.
-        """
+    def expectation(self, op: QubitOperator) -> float:
+        """⟨ψ|H|ψ⟩ for a Hermitian operator, evaluated in one pass through
+        the packed :meth:`repro.paulis.PauliTable.expectation_values` kernel."""
         if op.n != self.n:
             raise ValueError("qubit count mismatch")
-        if backend == "table":
-            table, coeffs = op.to_table()
-            return float(table.expectation_values(self.amplitudes, coeffs).real)
-        if backend != "strings":
-            raise ValueError(
-                f"unknown backend {backend!r}; expected 'table' or 'strings'"
-            )
-        total = 0.0 + 0j
-        for string, coeff in op.terms():
-            phi = self.copy()
-            phi.apply_pauli(string)
-            total += coeff * np.vdot(self.amplitudes, phi.amplitudes)
-        return float(total.real)
+        table, coeffs = op.to_table()
+        return float(table.expectation_values(self.amplitudes, coeffs).real)
 
     def probability(self, bits: int) -> float:
         return float(abs(self.amplitudes[bits]) ** 2)

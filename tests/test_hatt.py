@@ -2,9 +2,14 @@
 
 import pytest
 
+from oracles import hatt as oracle
 from repro.fermion import FermionOperator, MajoranaOperator
 from repro.hatt import HattConstruction, hatt_mapping
 from repro.mappings import balanced_ternary_tree, jordan_wigner
+
+#: The construction kernel and its scalar oracle (``tests/oracles/hatt.py``).
+BUILDERS = {"vector": HattConstruction, "scalar": oracle.HattOracle}
+MAPPERS = {"vector": hatt_mapping, "scalar": oracle.hatt_mapping}
 
 
 def paper_eq3_hamiltonian() -> FermionOperator:
@@ -22,21 +27,21 @@ def paper_motivation_hamiltonian() -> MajoranaOperator:
 
 
 class TestPaperExamples:
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    @pytest.mark.parametrize("backend", BUILDERS)
     def test_eq3_first_step_matches_paper(self, backend):
         """The paper's first step picks O0, O1, O6 with qubit-0 weight 1."""
         hm = MajoranaOperator.from_fermion_operator(paper_eq3_hamiltonian())
-        c = HattConstruction(hm, 3, vacuum=True, backend=backend)
+        c = BUILDERS[backend](hm, 3, vacuum=True)
         c.run()
         qubit, children, w = c.trace[0]
         assert qubit == 0
         assert sorted(children) == [0, 1, 6]
         assert w == 1
 
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    @pytest.mark.parametrize("backend", BUILDERS)
     def test_eq3_second_step_weight(self, backend):
         hm = MajoranaOperator.from_fermion_operator(paper_eq3_hamiltonian())
-        c = HattConstruction(hm, 3, vacuum=True, backend=backend)
+        c = BUILDERS[backend](hm, 3, vacuum=True)
         c.run()
         assert c.trace[1][2] == 2  # paper: total Pauli weight 2 on qubit 1
 
@@ -110,7 +115,7 @@ class TestValidity:
 class TestCacheEquivalence:
     """Algorithm 3's O(1) maps must reproduce Algorithm 2's traversals exactly."""
 
-    @pytest.mark.parametrize("backend", ["vector", "scalar"])
+    @pytest.mark.parametrize("backend", MAPPERS)
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_identical_trees(self, n, backend):
         hf = FermionOperator()
@@ -118,8 +123,8 @@ class TestCacheEquivalence:
             hf = hf + FermionOperator.number(j)
         for j in range(n - 1):
             hf = hf + FermionOperator.hopping(j, j + 1, 0.3 * (j + 1))
-        cached = hatt_mapping(hf, n_modes=n, cached=True, backend=backend)
-        uncached = hatt_mapping(hf, n_modes=n, cached=False, backend=backend)
+        cached = MAPPERS[backend](hf, n_modes=n, cached=True)
+        uncached = MAPPERS[backend](hf, n_modes=n, cached=False)
         assert cached.strings == uncached.strings
         assert cached.construction.trace == uncached.construction.trace
 

@@ -1,8 +1,8 @@
 """Architecture-adaptive HATT construction (``hatt-arch``) equivalence.
 
-The distance-biased candidate selection must be bit-identical between the
-scalar reference and the packed-uint64 vector backend on every coupling
-graph, must reduce *exactly* to plain HATT when ``arch_weight=0`` (the
+The distance-biased candidate selection of the packed-uint64 kernel must be
+bit-identical to the scalar oracle (``tests/oracles/hatt.py``, with its own
+copy of the anchor rule) on every coupling graph, must reduce *exactly* to plain HATT when ``arch_weight=0`` (the
 blended score becomes a monotone rescaling of the weight, preserving every
 tie-break), and must survive multiword (> 64 term) Hamiltonians under a
 memory budget that forces candidate chunking.
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.hatt import HattOracle
 from repro.circuits.architectures import ARCHITECTURE_NAMES, architecture
 from repro.fermion import MajoranaOperator
 from repro.hatt import DEFAULT_ARCH_WEIGHT, HattConstruction, hatt_mapping
@@ -42,9 +43,9 @@ def majorana_hamiltonians(draw):
 
 
 def _run_both(op, n, **kwargs):
-    scalar = HattConstruction(op, n, backend="scalar", **kwargs)
+    scalar = HattOracle(op, n, **kwargs)
     tree_s = scalar.run()
-    vector = HattConstruction(op, n, backend="vector", **kwargs)
+    vector = HattConstruction(op, n, **kwargs)
     tree_v = vector.run()
     return scalar, tree_s, vector, tree_v
 
@@ -145,13 +146,10 @@ class TestMultiwordAndChunking:
         n, op = data
         graph = architecture(arch)
         for vacuum in (True, False):
-            scalar = HattConstruction(
-                op, n, vacuum=vacuum, backend="scalar", graph=graph
-            )
+            scalar = HattOracle(op, n, vacuum=vacuum, graph=graph)
             scalar.run()
             vector = HattConstruction(
-                op, n, vacuum=vacuum, backend="vector", graph=graph,
-                memory_budget=512,
+                op, n, vacuum=vacuum, graph=graph, memory_budget=512
             )
             vector.run()
             assert vector.trace == scalar.trace
@@ -159,11 +157,9 @@ class TestMultiwordAndChunking:
     def test_multiword_under_budget(self):
         n, op = _dense_hamiltonian(seed=7)
         graph = architecture("sycamore")
-        scalar = HattConstruction(op, n, backend="scalar", graph=graph)
+        scalar = HattOracle(op, n, graph=graph)
         scalar.run()
-        vector = HattConstruction(
-            op, n, backend="vector", graph=graph, memory_budget=512
-        )
+        vector = HattConstruction(op, n, graph=graph, memory_budget=512)
         vector.run()
         assert vector.trace == scalar.trace
 

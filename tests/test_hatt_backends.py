@@ -1,11 +1,12 @@
-"""Cross-backend equivalence for the HATT construction engine.
+"""The HATT construction kernel against its scalar oracle.
 
-The packed-bitmask ``vector`` backend must be bit-identical to the
-``scalar`` reference: same selection trace (children uids and step weights)
-and same tree, across random Majorana Hamiltonians, both ``vacuum`` modes
-and both ``cached`` settings — including when the memory budget forces the
-candidate kernels to chunk.  Golden-value tests pin the H2/LiH construction
-traces so a silent behavior change in either backend fails loudly.
+The packed-bitmask kernel (:class:`repro.hatt.HattConstruction`) must be
+bit-identical to the per-candidate scan in ``tests/oracles/hatt.py``: same
+selection trace (children uids and step weights) and same tree, across
+random Majorana Hamiltonians, both ``vacuum`` modes and both ``cached``
+settings — including when the memory budget forces the candidate kernels to
+chunk.  Golden-value tests pin the H2/LiH construction traces on both, so a
+silent behavior change in either fails loudly.
 """
 
 import numpy as np
@@ -13,9 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hatt as oracle
 from repro.fermion import MajoranaOperator
-from repro.hatt import BACKENDS, HattConstruction, hatt_mapping
+from repro.hatt import HattConstruction, hatt_mapping
 from repro.paulis.table import pack_incidence
+
+#: The kernel and its oracle, under the parameter ids the suite has always
+#: used for them.
+MAPPERS = {"vector": hatt_mapping, "scalar": oracle.hatt_mapping}
 
 
 @st.composite
@@ -40,9 +46,9 @@ def majorana_hamiltonians(draw):
 
 
 def _run_both(op, n, **kwargs):
-    scalar = HattConstruction(op, n, backend="scalar", **kwargs)
+    scalar = oracle.HattOracle(op, n, **kwargs)
     tree_s = scalar.run()
-    vector = HattConstruction(op, n, backend="vector", **kwargs)
+    vector = HattConstruction(op, n, **kwargs)
     tree_v = vector.run()
     return scalar, tree_s, vector, tree_v
 
@@ -79,11 +85,9 @@ class TestBitIdenticalTraces:
         """A budget far below one candidate grid must not change results."""
         n, op = data
         for vacuum in (True, False):
-            scalar = HattConstruction(op, n, vacuum=vacuum, backend="scalar")
+            scalar = oracle.HattOracle(op, n, vacuum=vacuum)
             scalar.run()
-            vector = HattConstruction(
-                op, n, vacuum=vacuum, backend="vector", memory_budget=512
-            )
+            vector = HattConstruction(op, n, vacuum=vacuum, memory_budget=512)
             vector.run()
             assert vector.trace == scalar.trace
 
@@ -105,7 +109,7 @@ class TestBitIdenticalTraces:
 
 
 class TestGoldenTraces:
-    """Pinned construction traces for the paper molecules (both backends)."""
+    """Pinned construction traces for the paper molecules (kernel and oracle)."""
 
     H2_TRACE = [
         (0, (0, 1, 8), 8),
@@ -122,37 +126,34 @@ class TestGoldenTraces:
         (5, (10, 11, 17), 30),
     ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MAPPERS)
     def test_h2_trace(self, backend):
         from repro.models.electronic import electronic_case
 
         case = electronic_case("H2_sto3g")
-        mapping = hatt_mapping(case.hamiltonian, n_modes=case.n_modes, backend=backend)
+        mapping = MAPPERS[backend](case.hamiltonian, n_modes=case.n_modes)
         assert mapping.construction.trace == self.H2_TRACE
         # Paper Table I: HATT reaches total Pauli weight 32 on H2/STO-3G.
         assert mapping.map(case.hamiltonian).pauli_weight() == 32
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", MAPPERS)
     def test_lih_frozen_trace(self, backend):
         from repro.models.electronic import electronic_case
 
         case = electronic_case("LiH_sto3g_frz")
-        mapping = hatt_mapping(case.hamiltonian, n_modes=case.n_modes, backend=backend)
+        mapping = MAPPERS[backend](case.hamiltonian, n_modes=case.n_modes)
         assert mapping.construction.trace == self.LIH_FRZ_TRACE
 
 
 class TestBackendApi:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            HattConstruction(MajoranaOperator.zero(), 2, backend="gpu")
+        """The kernel is the only engine; the old selector keyword is gone."""
+        with pytest.raises(TypeError):
+            HattConstruction(MajoranaOperator.zero(), 2, backend="scalar")
 
     def test_nonpositive_budget_rejected(self):
         with pytest.raises(ValueError):
             HattConstruction(MajoranaOperator.zero(), 2, memory_budget=0)
-
-    def test_default_backend_is_vector(self):
-        c = HattConstruction(MajoranaOperator.zero(), 2)
-        assert c.backend == "vector"
 
     def test_children_uids_round_trip(self):
         from repro.mappings import tree_from_uid_arrays
@@ -167,10 +168,8 @@ class TestBackendApi:
         assert rebuilt.strings_by_leaf_index() == tree.strings_by_leaf_index()
 
     def test_empty_hamiltonian_both_backends(self):
-        for backend in BACKENDS:
-            mapping = hatt_mapping(
-                MajoranaOperator.zero(), n_modes=3, backend=backend
-            )
+        for mapper in MAPPERS.values():
+            mapping = mapper(MajoranaOperator.zero(), n_modes=3)
             assert mapping.is_valid()
             assert mapping.preserves_vacuum()
             assert mapping.construction.step_weights == [0, 0, 0]

@@ -1,7 +1,10 @@
 """Property-based tests: PauliTable (vectorized) vs the scalar reference.
 
-Random operators are drawn up to 130 qubits so the packed representation
-exercises multi-word (``> 64`` qubit) masks, word boundaries included.
+The scalar side is the :class:`PauliString` algebra and, for the bulk
+kernels built on the table (operator mapping, commutator weight), the
+per-term loops in ``tests/oracles/pauli.py``.  Random operators are drawn up
+to 130 qubits so the packed representation exercises multi-word (``> 64``
+qubit) masks, word boundaries included.
 """
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import pauli as oracle
+from repro.analysis import commutator_weight
 from repro.fermion import MajoranaOperator
 from repro.mappings import balanced_ternary_tree, jordan_wigner
 from repro.mappings.apply import map_majorana_operator
@@ -102,6 +107,22 @@ def test_qubit_operator_roundtrip(batch):
     assert QubitOperator.from_table(table, coeffs) == op
 
 
+@given(pauli_batches(max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_commutator_weight_matches_oracle(batch):
+    """Real quarter-integer coefficients keep every partial sum exact, so
+    the chunked table kernel must equal the pairwise loop bit for bit."""
+    n, strings = batch
+    coeffs: dict[str, float] = {}
+    for i, s in enumerate(strings):
+        # Hermitian label of the string's (x, z) bits; its phase is dropped
+        # so merged duplicates keep real coefficients.
+        label = "".join("IXZY"[(s.x >> q & 1) | (s.z >> q & 1) << 1] for q in range(n))
+        coeffs[label] = coeffs.get(label, 0.0) + 0.25 * (i % 7) - 0.75
+    op = QubitOperator.from_label_dict(coeffs)
+    assert commutator_weight(op) == oracle.commutator_weight(op)
+
+
 @st.composite
 def majorana_operators(draw, n_modes):
     """A random Majorana operator on 2·n_modes Majoranas."""
@@ -125,15 +146,11 @@ def majorana_operators(draw, n_modes):
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_map_majorana_backends_agree(n_modes, data):
-    """Scalar and table mapping backends agree on JW and BTT mappings."""
+    """The table kernel and the per-term oracle agree on JW and BTT mappings."""
     op = data.draw(majorana_operators(n_modes))
     for mapping in (jordan_wigner(n_modes), balanced_ternary_tree(n_modes)):
-        scalar = map_majorana_operator(
-            op, mapping.strings, mapping.n_qubits, backend="scalar"
-        )
-        table = map_majorana_operator(
-            op, mapping.packed_table, mapping.n_qubits, backend="table"
-        )
+        scalar = oracle.map_majorana_operator(op, mapping.strings, mapping.n_qubits)
+        table = map_majorana_operator(op, mapping.packed_table, mapping.n_qubits)
         assert table == scalar
 
 
@@ -151,13 +168,14 @@ def test_map_majorana_validates_coverage():
     with pytest.raises(ValueError, match="2 per mode"):
         map_majorana_operator(op, strings, n_qubits=3)
     with pytest.raises(ValueError, match="2 per mode"):
-        map_majorana_operator(op, strings, n_qubits=3, backend="scalar")
+        map_majorana_operator(op, jordan_wigner(3).packed_table.take(slice(0, 5)), 3)
 
 
 def test_map_majorana_rejects_unknown_backend():
+    """The table kernel is the only mapper; the old selector keyword is gone."""
     op = MajoranaOperator({(0,): 1.0})
-    with pytest.raises(ValueError, match="unknown backend"):
-        map_majorana_operator(op, jordan_wigner(1).strings, 1, backend="nope")
+    with pytest.raises(TypeError):
+        map_majorana_operator(op, jordan_wigner(1).strings, 1, backend="scalar")
 
 
 def test_map_majorana_rejects_empty_strings():
@@ -173,8 +191,8 @@ def test_packed_terms_cache_invalidation():
     idx2, coeffs2 = op.packed_terms()
     assert idx2.shape[0] == 2 and len(coeffs2) == 2
     jw = jordan_wigner(2)
-    assert map_majorana_operator(op, jw.strings, 2) == map_majorana_operator(
-        op, jw.strings, 2, backend="scalar"
+    assert map_majorana_operator(op, jw.strings, 2) == oracle.map_majorana_operator(
+        op, jw.strings, 2
     )
 
 

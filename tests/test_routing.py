@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import routing as oracle
 from repro.circuits import (
     Circuit,
     architecture,
@@ -205,17 +206,14 @@ class TestDistanceMatrix:
 class TestDeterminism:
     def test_route_twice_identical(self):
         """Regression: SWAP ties used to be broken by dict iteration order."""
-        from repro.circuits import ROUTER_BACKENDS
-
         circ = long_range_circuit(10)
         for arch in ("montreal", "sycamore"):
-            for backend in ROUTER_BACKENDS:
-                g1, g2 = architecture(arch), architecture(arch)
-                r1 = route_circuit(circ, g1, backend=backend)
-                r2 = route_circuit(circ, g2, backend=backend)
-                assert r1.circuit.gates == r2.circuit.gates, (arch, backend)
-                assert r1.initial_layout == r2.initial_layout
-                assert r1.final_layout == r2.final_layout
+            g1, g2 = architecture(arch), architecture(arch)
+            r1 = route_circuit(circ, g1)
+            r2 = route_circuit(circ, g2)
+            assert r1.circuit.gates == r2.circuit.gates, arch
+            assert r1.initial_layout == r2.initial_layout
+            assert r1.final_layout == r2.final_layout
 
     def test_layout_deterministic(self):
         circ = long_range_circuit(8)
@@ -225,28 +223,60 @@ class TestDeterminism:
 
 
 class TestBackendEquivalence:
+    """The router kernel against the dict-scan oracle (tests/oracles)."""
+
     @pytest.mark.parametrize("arch", ["manhattan", "montreal", "sycamore", "ionq_forte"])
     @pytest.mark.parametrize("lookahead", [0, 1, 4, 17, 256])
     def test_vector_matches_scalar(self, arch, lookahead):
         g = architecture(arch)
         circ = long_range_circuit(12)
-        vec = route_circuit(circ, g, lookahead=lookahead, backend="vector")
-        sca = route_circuit(circ, g, lookahead=lookahead, backend="scalar")
+        vec = route_circuit(circ, g, lookahead=lookahead)
+        sca = oracle.route_circuit(circ, g, lookahead=lookahead)
         assert vec.circuit.gates == sca.circuit.gates
         assert vec.initial_layout == sca.initial_layout
         assert vec.final_layout == sca.final_layout
 
+    @pytest.mark.parametrize("arch", ["manhattan", "sycamore"])
+    def test_trotter_step_matches_oracle(self, arch):
+        """A real Trotter step (JW, 2x3 Hubbard) exercises every lookahead
+        tier: long windows of repeated pairs, many SWAP decisions."""
+        from repro.circuits import to_cx_u3, trotter_circuit
+        from repro.mappings import jordan_wigner
+        from repro.sources import build_case
+
+        h = build_case("hubbard:2x3")
+        circ = to_cx_u3(trotter_circuit(jordan_wigner(h.n_modes).map(h), order="mutual"))
+        g = architecture(arch)
+        for lookahead in (4, 17, 64, 256):
+            vec = route_circuit(circ, g, lookahead=lookahead)
+            sca = oracle.route_circuit(circ, g, lookahead=lookahead)
+            assert vec.circuit.gates == sca.circuit.gates, lookahead
+            assert vec.final_layout == sca.final_layout, lookahead
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from(["manhattan", "montreal", "sycamore"]),
+        st.lists(st.integers(0, 10**6), min_size=400, max_size=400),
+        st.sampled_from([1, 5, 20, 80]),
+    )
+    def test_random_circuits_match_oracle(self, arch, ints, lookahead):
+        circ = _random_circuit(ints, 8, 100)
+        g = architecture(arch)
+        vec = route_circuit(circ, g, lookahead=lookahead)
+        sca = oracle.route_circuit(circ, g, lookahead=lookahead)
+        assert vec.circuit.gates == sca.circuit.gates
+        assert vec.final_layout == sca.final_layout
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            route_circuit(ghz_circuit(3), montreal(), backend="cuda")
+        """The kernel is the only router; the old selector keyword is gone."""
+        with pytest.raises(TypeError):
+            route_circuit(ghz_circuit(3), montreal(), backend="scalar")
 
     def test_negative_lookahead_rejected(self):
-        """Regression: a negative horizon used to corrupt the vector
-        engine's window bookkeeping and break cross-engine bit-identity."""
-        for backend in ("vector", "scalar"):
-            with pytest.raises(ValueError):
-                route_circuit(ghz_circuit(3), montreal(), lookahead=-1,
-                              backend=backend)
+        """Regression: a negative horizon used to corrupt the window
+        bookkeeping and break bit-identity with the oracle."""
+        with pytest.raises(ValueError):
+            route_circuit(ghz_circuit(3), montreal(), lookahead=-1)
 
 
 def _random_circuit(draw_ints, n, n_gates):

@@ -44,10 +44,9 @@ from repro.service import MappingService
 class TestCompileRequestSchema:
     @pytest.mark.parametrize("request_", [
         CompileRequest(case="hubbard:2x2"),
-        CompileRequest(case="H2_sto3g", kind="bk", hatt_backend="scalar"),
+        CompileRequest(case="H2_sto3g", kind="bk"),
         CompileRequest(case="hubbard:2x2", job="compile", arch="montreal",
-                       term_order="lexicographic", lookahead=7,
-                       router_backend="scalar"),
+                       term_order="lexicographic", lookahead=7),
     ])
     def test_roundtrip(self, request_):
         assert CompileRequest.from_dict(request_.to_dict()) == request_
@@ -58,8 +57,9 @@ class TestCompileRequestSchema:
         ({"case": ""}, "non-empty case"),
         ({"case": "x", "job": "evaluate"}, "unknown job"),
         ({"case": "x", "kind": "qiskit"}, "unknown mapping kind"),
-        ({"case": "x", "hatt_backend": "gpu"}, "unknown hatt backend"),
-        ({"case": "x", "router_backend": "gpu"}, "unknown router backend"),
+        # The engine hints are gone: every layer has one engine.
+        ({"case": "x", "hatt_backend": "vector"}, "unknown request fields"),
+        ({"case": "x", "router_backend": "vector"}, "unknown request fields"),
         ({"case": "x", "term_order": "random"}, "unknown term order"),
         ({"case": "x", "lookahead": 0}, "positive int"),
         ({"case": "x", "lookahead": 1.5}, "positive int"),
@@ -69,7 +69,7 @@ class TestCompileRequestSchema:
     ])
     def test_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            CompileRequest(**kwargs)
+            CompileRequest.from_dict(kwargs)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown request fields"):
@@ -78,11 +78,6 @@ class TestCompileRequestSchema:
     def test_missing_case_rejected(self):
         with pytest.raises(ValueError, match="non-empty case"):
             CompileRequest.from_dict({"kind": "jw"})
-
-    def test_coalesce_key_excludes_engine_hints(self):
-        a = CompileRequest(case="hubbard:2x2", hatt_backend="vector")
-        b = CompileRequest(case="hubbard:2x2", hatt_backend="scalar")
-        assert a.coalesce_key() == b.coalesce_key()
 
     def test_coalesce_key_separates_work(self):
         base = CompileRequest(case="hubbard:2x2")
@@ -95,10 +90,10 @@ class TestCompileRequestSchema:
 
     def test_bridges_into_compile_stack(self):
         r = CompileRequest(case="x", job="compile", arch="sycamore",
-                           kind="btt", lookahead=9, router_backend="scalar")
+                           kind="btt", lookahead=9)
         assert r.spec().kind == "btt"
         opts = r.options()
-        assert opts.lookahead == 9 and opts.router_backend == "scalar"
+        assert opts.lookahead == 9 and opts.term_order == "mutual"
 
     def test_replace(self):
         r = CompileRequest(case="hubbard:2x2").replace(kind="jw")
@@ -219,8 +214,7 @@ class TestJobQueue:
         request = CompileRequest(case="hubbard:2x2")
         first, coalesced = queue.submit(request)
         assert not coalesced
-        followers = [queue.submit(request.replace(hatt_backend="scalar"))
-                     for _ in range(7)]
+        followers = [queue.submit(request) for _ in range(7)]
         assert all(c for _, c in followers)
         assert {r.id for r, _ in followers} == {first.id}
         assert first.subscribers == 8
@@ -447,6 +441,7 @@ class TestHttpServer:
     @pytest.mark.parametrize("body,match", [
         ({"case": "x", "bogus": 1}, "unknown request fields"),
         ({"kind": "jw"}, "non-empty case"),
+        ({"case": "x", "hatt_backend": "vector"}, "unknown request fields"),
     ])
     def test_invalid_request_is_400(self, served, body, match):
         _q, bg = served
@@ -574,7 +569,7 @@ class TestArchRequestSchema:
     ])
     def test_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            CompileRequest(**kwargs)
+            CompileRequest.from_dict(kwargs)
 
     def test_arch_weight_forks_coalesce_key(self):
         a = CompileRequest(case="hubbard:1x2", kind="hatt-arch", arch="montreal")

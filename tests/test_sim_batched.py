@@ -5,10 +5,10 @@ Covers the scalar :class:`Statevector` and the vectorized
 built directly from ``gate.matrix()`` entries (kron products for 1q gates,
 explicit bit-indexed embedding for arbitrary 2q placements), the masked
 Pauli-error kernel against per-trajectory ``apply_pauli``, the packed-table
-expectation kernel against the per-string reference, and the batched noisy
-trajectory engine against the scalar loop — including bit-identity of the
-``backend="scalar"`` path with golden values recorded from the original
-implementation.
+expectation kernel against the per-string oracle, and the batched noisy
+trajectory engine against the per-trajectory oracle loop
+(``tests/oracles/noise.py``) — including bit-identity of the oracle with
+golden values recorded from the original implementation.
 """
 
 import numpy as np
@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import noise as noise_oracle
+from oracles.pauli import expectation as reference_expectation
 from repro.circuits import Circuit, Gate, trotter_circuit
 from repro.paulis import PauliString, QubitOperator
 from repro.sim import (
@@ -254,7 +256,7 @@ class TestBulkExpectations:
         batch_vals = BatchedStatevector(n, amps.copy()).expectations(op)
         for t in range(n_traj):
             sv = Statevector(n, amps[t].copy())
-            ref = sv.expectation(op, backend="strings")
+            ref = reference_expectation(sv, op)
             assert sv.expectation(op) == pytest.approx(ref, abs=1e-10)
             assert batch_vals[t] == pytest.approx(ref, abs=1e-10)
 
@@ -276,9 +278,10 @@ class TestBulkExpectations:
             BatchedStatevector.zeros_state(2, 1).expectations(op)
 
     def test_rejects_unknown_backend(self):
+        """The table kernel is the only evaluator; the selector is gone."""
         op = QubitOperator.from_label_dict({"ZZ": 1.0})
-        with pytest.raises(ValueError):
-            Statevector(2).expectation(op, backend="sparse")
+        with pytest.raises(TypeError):
+            Statevector(2).expectation(op, backend="strings")
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +319,7 @@ class TestBatchedSampling:
 
 
 # ----------------------------------------------------------------------
-# Cross-backend trajectory equivalence
+# Batched engine vs the per-trajectory oracle
 # ----------------------------------------------------------------------
 
 
@@ -331,13 +334,12 @@ class TestCrossBackend:
         in the pinned environment; the asserts use a last-ulp-scale relative
         tolerance only so that a numpy/BLAS build with a different reduction
         order cannot break CI, while any implementation change still fails."""
-        res = noisy_expectations(
+        res = noise_oracle.noisy_expectations(
             self.circuit,
             self.h,
             NoiseModel(p1=5e-3, p2=5e-2),
             shots=40,
             seed=123,
-            backend="scalar",
         )
         assert res.noiseless == pytest.approx(1.9938311777711542, rel=1e-12)
         assert float(res.energies.sum()) == pytest.approx(67.99488095648762, rel=1e-12)
@@ -347,8 +349,8 @@ class TestCrossBackend:
         nm = NoiseModel(p1=5e-3, p2=5e-2)
         shots = 3000
         batched = noisy_expectations(self.circuit, self.h, nm, shots=shots, seed=1)
-        scalar = noisy_expectations(
-            self.circuit, self.h, nm, shots=shots, seed=1, backend="scalar"
+        scalar = noise_oracle.noisy_expectations(
+            self.circuit, self.h, nm, shots=shots, seed=1
         )
         assert batched.noiseless == pytest.approx(scalar.noiseless, abs=1e-10)
         stderr = np.sqrt(
@@ -378,14 +380,14 @@ class TestCrossBackend:
 
     def test_rejects_bad_arguments(self):
         nm = NoiseModel(p1=1e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             noisy_expectations(self.circuit, self.h, nm, shots=5, backend="aer")
         with pytest.raises(ValueError):
             noisy_expectations(self.circuit, self.h, nm, shots=5, chunk=0)
 
 
 class TestCrossBackendH2:
-    def test_fig10_cell_backends_agree(self):
+    def test_fig10_cell_backends_agree(self, monkeypatch):
         """Batched vs legacy engine on an H2 Fig.-10 cell, same seed: mean
         energies agree within statistical tolerance, and the scalar path
         reproduces the pre-batching golden numbers exactly."""
@@ -396,9 +398,14 @@ class TestCrossBackendH2:
         case = electronic_case("H2_sto3g")
         mapping = jordan_wigner(4)
         nm = NoiseModel(p1=1e-4, p2=1e-3)
-        scalar = noisy_energy_experiment(
-            case, mapping, nm, shots=60, seed=5, backend="scalar"
-        )
+
+        def oracle_experiment(shots):
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.analysis.noisy.noisy_expectations",
+                              noise_oracle.noisy_expectations)
+                return noisy_energy_experiment(case, mapping, nm, shots=shots, seed=5)
+
+        scalar = oracle_experiment(60)
         # Golden values recorded from the pre-batching implementation (exact
         # == verified at recording time; see the tolerance note above).
         assert scalar.mean == pytest.approx(-1.0823764129957036, rel=1e-12)
@@ -408,9 +415,7 @@ class TestCrossBackendH2:
 
         shots = 600
         batched = noisy_energy_experiment(case, mapping, nm, shots=shots, seed=5)
-        scalar_big = noisy_energy_experiment(
-            case, mapping, nm, shots=shots, seed=5, backend="scalar"
-        )
+        scalar_big = oracle_experiment(shots)
         assert batched.noiseless == pytest.approx(scalar_big.noiseless, abs=1e-9)
         stderr = np.sqrt((batched.variance + scalar_big.variance) / shots)
         assert abs(batched.mean - scalar_big.mean) < 5 * stderr + 1e-12

@@ -144,16 +144,17 @@ class TestTreeFromUidArrays:
     """Bulk export from uid arrays must match node-by-node construction."""
 
     def test_matches_incremental_build(self):
+        from oracles.hatt import HattOracle
         from repro.fermion import FermionOperator, MajoranaOperator
-        from repro.hatt import HattConstruction
         from repro.mappings import tree_from_uid_arrays
 
         hf = FermionOperator.number(0) + FermionOperator.hopping(0, 1)
         hm = MajoranaOperator.from_fermion_operator(hf)
         for vacuum in (True, False):
-            c = HattConstruction(hm, 3, vacuum=vacuum, backend="scalar")
+            c = HattOracle(hm, 3, vacuum=vacuum)
             incremental = c.run()
-            bulk = tree_from_uid_arrays(c.children_uids, 3)
+            children = [triple for _, triple, _ in c.trace]
+            bulk = tree_from_uid_arrays(children, 3)
             bulk.validate()
             assert (
                 bulk.strings_by_leaf_index() == incremental.strings_by_leaf_index()
