@@ -30,8 +30,10 @@ class Circuit:
     # Building
     # ------------------------------------------------------------------
     def append(self, gate: Gate) -> None:
-        if any(q < 0 or q >= self.n_qubits for q in gate.qubits):
-            raise ValueError(f"gate {gate} outside qubit range 0..{self.n_qubits - 1}")
+        n = self.n_qubits
+        for q in gate.qubits:
+            if q < 0 or q >= n:
+                raise ValueError(f"gate {gate} outside qubit range 0..{n - 1}")
         self.gates.append(gate)
 
     def add(self, name: str, *qubits: int, params: tuple[float, ...] = ()) -> "Circuit":
@@ -84,9 +86,12 @@ class Circuit:
         """ASAP-scheduled depth (each gate occupies one level per qubit)."""
         level = [0] * self.n_qubits
         for g in self.gates:
-            start = max(level[q] for q in g.qubits)
-            for q in g.qubits:
-                level[q] = start + 1
+            qubits = g.qubits
+            if len(qubits) == 1:
+                level[qubits[0]] += 1
+            else:
+                a, b = qubits
+                level[a] = level[b] = max(level[a], level[b]) + 1
         return max(level, default=0)
 
     # ------------------------------------------------------------------

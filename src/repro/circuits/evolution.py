@@ -26,8 +26,12 @@ ladders (≈6% on H₂O/JW, ≈12% on LiH/JW after the peephole).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from functools import lru_cache
+
 from ..paulis import PauliString, QubitOperator
 from .circuit import Circuit
+from .gates import Gate
 
 __all__ = [
     "evolution_term_circuit",
@@ -41,18 +45,39 @@ __all__ = [
 TERM_ORDERS = ("lexicographic", "mutual", "given")
 
 
-def _basis_change(circuit: Circuit, string: PauliString, inverse: bool) -> None:
-    for q, op in string.ops():
-        if op == "X":
-            circuit.add("h", q)
-        elif op == "Y":
-            # Map Y -> Z:  (S† then H); inverse is (H then S).
-            if not inverse:
-                circuit.add("sdg", q)
-                circuit.add("h", q)
+@lru_cache(maxsize=1 << 14)
+def _fixed_gate(name: str, qubits: tuple[int, ...]) -> Gate:
+    """The shared instance of a parameter-free gate (gates are immutable)."""
+    return Gate(name, qubits)
+
+
+def _emit_term(
+    gates: list[Gate], string: PauliString, angle: float, chain: Sequence[int]
+) -> None:
+    """Append the gates of ``exp(-i·angle/2·P)`` to ``gates``.
+
+    Basis changes (H for X, S†·H for Y), the CX parity ladder along ``chain``
+    onto its last qubit, ``Rz(angle)`` there, then the ladder and basis
+    changes undone.  ``chain`` must be a permutation of the support.
+    """
+    x = string.x
+    into, undo = [], []
+    for q in string.support:
+        if (x >> q) & 1:
+            h = _fixed_gate("h", (q,))
+            if (string.z >> q) & 1:
+                # Y -> Z:  (S† then H); inverse is (H then S).
+                into += (_fixed_gate("sdg", (q,)), h)
+                undo += (h, _fixed_gate("s", (q,)))
             else:
-                circuit.add("h", q)
-                circuit.add("s", q)
+                into.append(h)
+                undo.append(h)
+    ladder = [_fixed_gate("cx", (chain[i], chain[i + 1])) for i in range(len(chain) - 1)]
+    gates += into
+    gates += ladder
+    gates.append(Gate("rz", (chain[-1],), (angle,)))
+    gates += reversed(ladder)
+    gates += undo
 
 
 def evolution_term_circuit(
@@ -69,22 +94,26 @@ def evolution_term_circuit(
     in the paper's Fig. 2 example (q0).
     """
     n = n_qubits if n_qubits is not None else string.n
-    circuit = Circuit(n)
     support = list(string.support)
     if not support:
-        return circuit  # global phase only — no gates (paper: weight 0)
+        return Circuit(n)  # global phase only — no gates (paper: weight 0)
     if chain is None:
-        chain = sorted(support, reverse=True)
+        chain = support[::-1]
     elif sorted(chain) != support:
         raise ValueError("chain must be a permutation of the support")
-    _basis_change(circuit, string, inverse=False)
-    for i in range(len(chain) - 1):
-        circuit.add("cx", chain[i], chain[i + 1])
-    circuit.add("rz", chain[-1], params=(angle,))
-    for i in range(len(chain) - 2, -1, -1):
-        circuit.add("cx", chain[i], chain[i + 1])
-    _basis_change(circuit, string, inverse=True)
-    return circuit
+    gates: list[Gate] = []
+    _emit_term(gates, string, angle, chain)
+    return Circuit(n, gates)
+
+
+def _evolution_terms(hamiltonian: QubitOperator) -> list[tuple[PauliString, float]]:
+    """The terms a product formula evolves, in the Hamiltonian's order: the
+    identity (a global phase) and terms with ``|c| <= 1e-12`` are dropped."""
+    return [
+        (s, c.real)
+        for s, c in hamiltonian.terms()
+        if not s.is_identity and abs(c) > 1e-12
+    ]
 
 
 def order_terms_lexicographic(
@@ -96,11 +125,7 @@ def order_terms_lexicographic(
     from the highest support qubit, so adjacent terms sharing a high-qubit
     suffix hand the cancellation pass matching un-ladder/ladder pairs.
     """
-    terms = [
-        (s, c.real)
-        for s, c in hamiltonian.terms()
-        if not s.is_identity and abs(c) > 1e-12
-    ]
+    terms = _evolution_terms(hamiltonian)
     terms.sort(key=lambda item: item[0].label())
     return terms
 
@@ -180,13 +205,10 @@ def trotter_circuit(
     if order in ("lexicographic", "mutual"):
         terms = order_terms_lexicographic(hamiltonian)
     elif order == "given":
-        terms = [
-            (s, c.real) for s, c in hamiltonian.terms() if not s.is_identity
-        ]
+        terms = _evolution_terms(hamiltonian)
     else:
         raise ValueError(f"unknown term order {order!r}; expected one of {TERM_ORDERS}")
     align = order == "mutual"
-    circuit = Circuit(hamiltonian.n)
     dt = time / steps
     if suzuki_order == 1:
         per_step = terms
@@ -195,15 +217,15 @@ def trotter_circuit(
         per_step = half + half[::-1]
     sequence = per_step * steps
 
+    gates: list[Gate] = []
     prev_chain: list[int] | None = None
     prev_string: PauliString | None = None
     for i, (string, coeff) in enumerate(sequence):
-        chain = None
-        if align and string.weight > 0:
+        if align:
             nxt = sequence[i + 1][0] if i + 1 < len(sequence) else None
             chain = mutual_support_chain(prev_chain, prev_string, string, nxt)
             prev_chain, prev_string = chain, string
-        circuit.extend(
-            evolution_term_circuit(string, 2.0 * coeff * dt, hamiltonian.n, chain).gates
-        )
-    return circuit
+        else:
+            chain = string.support[::-1]
+        _emit_term(gates, string, 2.0 * coeff * dt, chain)
+    return Circuit(hamiltonian.n, gates)

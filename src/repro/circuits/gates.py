@@ -8,8 +8,7 @@ simulation basis is ``{cx, u3}`` as in the paper (§V-B3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,16 @@ TWO_QUBIT_GATES = frozenset({"cx", "cz", "swap"})
 _SELF_INVERSE = frozenset({"i", "x", "y", "z", "h", "cx", "cz", "swap"})
 _INVERSE_NAME = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 
+#: ``name -> (qubit count, param count)`` for every native gate.
+_SHAPE = {
+    **{name: (1, 0) for name in ONE_QUBIT_GATES},
+    "rx": (1, 1),
+    "ry": (1, 1),
+    "rz": (1, 1),
+    "u3": (1, 3),
+    **{name: (2, 0) for name in TWO_QUBIT_GATES},
+}
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -33,14 +42,19 @@ class Gate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        expected = 1 if self.name in ONE_QUBIT_GATES else 2
-        if self.name not in ONE_QUBIT_GATES and self.name not in TWO_QUBIT_GATES:
+        shape = _SHAPE.get(self.name)
+        if shape is None:
             raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.qubits) != expected:
+        n_qubits, n_params = shape
+        if len(self.qubits) != n_qubits:
             raise ValueError(
-                f"gate {self.name} expects {expected} qubit(s), got {self.qubits}"
+                f"gate {self.name} expects {n_qubits} qubit(s), got {self.qubits}"
             )
-        if len(self.qubits) == 2 and self.qubits[0] == self.qubits[1]:
+        if len(self.params) != n_params:
+            raise ValueError(
+                f"gate {self.name} expects {n_params} param(s), got {self.params}"
+            )
+        if n_qubits == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError("two-qubit gate with identical qubits")
 
     @property

@@ -3,11 +3,16 @@
 Passes:
 
 * :func:`cancel_adjacent` — remove DAG-adjacent inverse pairs (H·H, CX·CX,
-  S·S†, …) and merge adjacent Rz rotations.
+  S·S†, …) and merge adjacent Rx/Ry/Rz rotations, in one pass.
 * :func:`fuse_single_qubit` — collapse maximal runs of single-qubit gates
   into one ``u3`` via ZYZ decomposition (identity runs vanish).
 * :func:`optimize` / :func:`to_cx_u3` — the full pipeline; ``to_cx_u3``
   additionally rewrites cz/swap into the {CX, U3} basis the paper compiles to.
+
+Both passes are linear in the gate count.  Cancellation keeps per-qubit
+stacks of live gates, so a cancel exposes the gate beneath it at once; fusion
+multiplies 2×2 unitaries held as ``(u00, u01, u10, u11)`` tuples of Python
+complexes, with no NumPy array per gate.
 """
 
 from __future__ import annotations
@@ -22,57 +27,122 @@ from .gates import Gate, gate_matrix
 
 __all__ = ["cancel_adjacent", "fuse_single_qubit", "optimize", "to_cx_u3", "zyz_angles"]
 
-_INVERSE_PAIRS = {
-    ("h", "h"), ("x", "x"), ("y", "y"), ("z", "z"),
-    ("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t"),
-    ("cx", "cx"), ("cz", "cz"), ("swap", "swap"),
+#: Parameter-free gate -> the gate that cancels it when DAG-adjacent.
+_INVERSE = {
+    "h": "h", "x": "x", "y": "y", "z": "z",
+    "s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t",
+    "cx": "cx", "cz": "cz", "swap": "swap",
 }
 
-_ROTATIONS = {"rx", "ry", "rz"}
+_ROTATIONS = frozenset({"rx", "ry", "rz"})
 
 _ANGLE_EPS = 1e-12
 
 
 def cancel_adjacent(circuit: Circuit) -> Circuit:
-    """Iteratively remove inverse pairs / merge rotations that are adjacent in
-    the circuit DAG (no gate on any shared qubit in between)."""
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        # last_on[q] = index into `out` of the latest gate touching qubit q.
-        out: list[Gate | None] = []
-        last_on: dict[int, int] = {}
-        for gate in gates:
-            prev_idx = {last_on.get(q) for q in gate.qubits}
-            prev = prev_idx.pop() if len(prev_idx) == 1 else None
-            if prev is not None and out[prev] is not None:
-                pg = out[prev]
-                if pg.qubits == gate.qubits:
-                    if (pg.name, gate.name) in _INVERSE_PAIRS and pg.params == ():
-                        out[prev] = None
-                        for q in gate.qubits:
-                            last_on.pop(q, None)
-                        changed = True
-                        continue
-                    if (
-                        pg.name == gate.name
-                        and gate.name in _ROTATIONS
-                    ):
-                        angle = pg.params[0] + gate.params[0]
-                        if abs(angle) < _ANGLE_EPS:
-                            out[prev] = None
-                            for q in gate.qubits:
-                                last_on.pop(q, None)
-                        else:
-                            out[prev] = Gate(gate.name, gate.qubits, (angle,))
-                        changed = True
-                        continue
-            for q in gate.qubits:
-                last_on[q] = len(out)
-            out.append(gate)
-        gates = [g for g in out if g is not None]
-    return Circuit(circuit.n_qubits, gates)
+    """Remove inverse pairs / merge rotations that are adjacent in the
+    circuit DAG (no gate on any shared qubit in between)."""
+    return Circuit(circuit.n_qubits, _cancel(circuit.gates, circuit.n_qubits))
+
+
+def _cancel(gates: list[Gate], n_qubits: int) -> list[Gate]:
+    """:func:`cancel_adjacent` on a gate list, in one pass.
+
+    ``stacks[q]`` holds the indices of the live gates on qubit ``q``; a gate
+    is checked against the common top of its qubits' stacks, and a cancel
+    pops that top, so the gate below is the next one checked (``h·s·sdg·h``
+    collapses whole).  A live gate never loses a predecessor, so the result
+    is a fixpoint of the pass.
+    """
+    out: list[Gate | None] = []
+    stacks: list[list[int]] = [[] for _ in range(n_qubits)]
+    for gate in gates:
+        qubits = gate.qubits
+        below = stacks[qubits[0]]
+        if below:
+            top = below[-1]
+            prev = out[top]
+            if prev.qubits == qubits and (len(qubits) == 1 or stacks[qubits[1]][-1] == top):
+                name = gate.name
+                if _INVERSE.get(prev.name) == name:
+                    out[top] = None
+                    for q in qubits:
+                        stacks[q].pop()
+                    continue
+                if name == prev.name and name in _ROTATIONS:
+                    angle = prev.params[0] + gate.params[0]
+                    if abs(angle) < _ANGLE_EPS:
+                        out[top] = None
+                        below.pop()
+                    else:
+                        out[top] = Gate(name, qubits, (angle,))
+                    continue
+        index = len(out)
+        for q in qubits:
+            stacks[q].append(index)
+        out.append(gate)
+    return [g for g in out if g is not None]
+
+
+# ----------------------------------------------------------------------
+# 2×2 unitaries as (u00, u01, u10, u11) tuples
+# ----------------------------------------------------------------------
+_FIXED = {
+    name: tuple(complex(v) for v in gate_matrix(name).flat)
+    for name in ("i", "x", "y", "z", "h", "s", "sdg", "t", "tdg")
+}
+
+
+def _unitary(gate: Gate) -> tuple[complex, complex, complex, complex]:
+    fixed = _FIXED.get(gate.name)
+    if fixed is not None:
+        return fixed
+    name, params = gate.name, gate.params
+    if name == "rz":
+        half = 0.5 * params[0]
+        return (cmath.exp(-1j * half), 0j, 0j, cmath.exp(1j * half))
+    if name == "u3":
+        theta, phi, lam = params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return (
+            complex(c),
+            -cmath.exp(1j * lam) * s,
+            cmath.exp(1j * phi) * s,
+            cmath.exp(1j * (phi + lam)) * c,
+        )
+    c, s = math.cos(params[0] / 2), math.sin(params[0] / 2)
+    if name == "rx":
+        return (complex(c), -1j * s, -1j * s, complex(c))
+    return (complex(c), complex(-s), complex(s), complex(c))  # ry
+
+
+def _is_identity(u: tuple[complex, complex, complex, complex]) -> bool:
+    """``u ≅ phase·I`` at the tolerances of ``np.allclose(u, u00·I, atol=1e-9)``
+    (its default ``rtol=1e-5`` applies to the diagonal)."""
+    a, b, c, d = u
+    mod = abs(a)
+    return (
+        abs(mod - 1.0) <= 1e-9
+        and abs(b) <= 1e-9
+        and abs(c) <= 1e-9
+        and abs(d - a) <= 1e-9 + 1e-5 * mod
+    )
+
+
+def _zyz(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float, float]:
+    """ZYZ angles of ``[[a, b], [c, d]]`` (see :func:`zyz_angles`)."""
+    root = cmath.sqrt(a * d - b * c)
+    a, c, d = a / root, c / root, d / root
+    mod_a, mod_c = abs(a), abs(c)
+    theta = 2.0 * math.atan2(mod_c, mod_a)
+    if mod_a < 1e-12:
+        # Pure off-diagonal: only φ - λ is defined.
+        return theta, 2.0 * cmath.phase(c), 0.0
+    if mod_c < 1e-12:
+        return theta, 2.0 * cmath.phase(d), 0.0
+    plus = 2.0 * cmath.phase(d)
+    minus = 2.0 * cmath.phase(c)
+    return theta, (plus + minus) / 2.0, (plus - minus) / 2.0
 
 
 def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
@@ -80,57 +150,53 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float]:
 
     Global phase is discarded — u3(θ, φ, λ) then equals ``u`` up to phase.
     """
-    det = np.linalg.det(u)
-    su = u / cmath.sqrt(det)
-    theta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[0, 0]) < 1e-12:
-        # Pure off-diagonal: only φ - λ is defined.
-        phi = 2.0 * cmath.phase(su[1, 0])
-        lam = 0.0
-    elif abs(su[1, 0]) < 1e-12:
-        phi = 2.0 * cmath.phase(su[1, 1])
-        lam = 0.0
-    else:
-        plus = 2.0 * cmath.phase(su[1, 1])
-        minus = 2.0 * cmath.phase(su[1, 0])
-        phi = (plus + minus) / 2.0
-        lam = (plus - minus) / 2.0
-    return theta, phi, lam
-
-
-def _is_identity(u: np.ndarray) -> bool:
-    phase = u[0, 0]
-    if abs(abs(phase) - 1.0) > 1e-9:
-        return False
-    return bool(np.allclose(u, phase * np.eye(2), atol=1e-9))
+    return _zyz(complex(u[0, 0]), complex(u[0, 1]), complex(u[1, 0]), complex(u[1, 1]))
 
 
 def fuse_single_qubit(circuit: Circuit) -> Circuit:
     """Fuse maximal 1q-gate runs into single u3 gates (dropping identities)."""
-    pending: dict[int, np.ndarray] = {}
+    return Circuit(circuit.n_qubits, _fuse(circuit.gates))
+
+
+def _fuse(gates: list[Gate]) -> list[Gate]:
+    """:func:`fuse_single_qubit` on a gate list."""
+    pending: dict[int, tuple[complex, complex, complex, complex]] = {}
     out: list[Gate] = []
 
     def flush(q: int) -> None:
-        u = pending.pop(q, None)
-        if u is None or _is_identity(u):
-            return
-        theta, phi, lam = zyz_angles(u)
-        out.append(Gate("u3", (q,), (theta, phi, lam)))
+        u = pending.pop(q)
+        if not _is_identity(u):
+            out.append(Gate("u3", (q,), _zyz(*u)))
 
-    for gate in circuit.gates:
-        if len(gate.qubits) == 1:
-            q = gate.qubits[0]
-            pending[q] = gate.matrix() @ pending.get(q, np.eye(2, dtype=complex))
+    for gate in gates:
+        qubits = gate.qubits
+        if len(qubits) == 1:
+            q = qubits[0]
+            g = _unitary(gate)
+            p = pending.get(q)
+            if p is None:
+                pending[q] = g
+            else:
+                # g @ p: the later gate acts after the run so far.
+                g00, g01, g10, g11 = g
+                p00, p01, p10, p11 = p
+                pending[q] = (
+                    g00 * p00 + g01 * p10,
+                    g00 * p01 + g01 * p11,
+                    g10 * p00 + g11 * p10,
+                    g10 * p01 + g11 * p11,
+                )
         else:
-            for q in gate.qubits:
-                flush(q)
+            for q in qubits:
+                if q in pending:
+                    flush(q)
             out.append(gate)
     for q in sorted(pending):
         flush(q)
-    return Circuit(circuit.n_qubits, out)
+    return out
 
 
-def _expand_to_cx(circuit: Circuit) -> Circuit:
+def _expand_to_cx(gates: list[Gate]) -> list[Gate]:
     """Rewrite cz and swap into cx + 1q gates.
 
     A SWAP has two CX decompositions (``cx(a,b)·cx(b,a)·cx(a,b)`` and its
@@ -140,17 +206,15 @@ def _expand_to_cx(circuit: Circuit) -> Circuit:
     the cancellation pass then deletes the touching pair (2 CX per oriented
     junction).
     """
-    gates = circuit.gates
-    out = Circuit(circuit.n_qubits)
+    out: list[Gate] = []
     for i, gate in enumerate(gates):
         if gate.name == "cz":
             c, t = gate.qubits
-            out.add("h", t)
-            out.add("cx", c, t)
-            out.add("h", t)
+            h = Gate("h", (t,))
+            out += (h, Gate("cx", (c, t)), h)
         elif gate.name == "swap":
             a, b = gate.qubits
-            prev = out.gates[-1] if out.gates else None
+            prev = out[-1] if out else None
             nxt = gates[i + 1] if i + 1 < len(gates) else None
             if (prev is not None and prev.name == "cx" and prev.qubits == (b, a)) or (
                 not (prev is not None and prev.name == "cx" and prev.qubits == (a, b))
@@ -159,9 +223,8 @@ def _expand_to_cx(circuit: Circuit) -> Circuit:
                 and nxt.qubits == (b, a)
             ):
                 a, b = b, a
-            out.add("cx", a, b)
-            out.add("cx", b, a)
-            out.add("cx", a, b)
+            outer = Gate("cx", (a, b))
+            out += (outer, Gate("cx", (b, a)), outer)
         else:
             out.append(gate)
     return out
@@ -169,9 +232,11 @@ def _expand_to_cx(circuit: Circuit) -> Circuit:
 
 def optimize(circuit: Circuit) -> Circuit:
     """Cancellation followed by 1q fusion, then one more cancellation pass."""
-    return cancel_adjacent(fuse_single_qubit(cancel_adjacent(circuit)))
+    n = circuit.n_qubits
+    return Circuit(n, _cancel(_fuse(_cancel(circuit.gates, n)), n))
 
 
 def to_cx_u3(circuit: Circuit) -> Circuit:
     """Full pipeline into the paper's {CX, U3} basis."""
-    return fuse_single_qubit(cancel_adjacent(_expand_to_cx(cancel_adjacent(circuit))))
+    n = circuit.n_qubits
+    return Circuit(n, _fuse(_cancel(_expand_to_cx(_cancel(circuit.gates, n)), n)))

@@ -24,6 +24,35 @@ class TestGates:
         with pytest.raises(ValueError):
             Gate("cx", (1, 1))
 
+    @pytest.mark.parametrize("name", ["rx", "ry", "rz"])
+    def test_rotation_takes_one_param(self, name):
+        Gate(name, (0,), (0.3,))
+        for params in [(), (0.3, 0.4)]:
+            with pytest.raises(ValueError, match="param"):
+                Gate(name, (0,), params)
+
+    def test_u3_takes_three_params(self):
+        Gate("u3", (0,), (0.1, 0.2, 0.3))
+        for params in [(), (0.1,), (0.1, 0.2), (0.1, 0.2, 0.3, 0.4)]:
+            with pytest.raises(ValueError, match="param"):
+                Gate("u3", (0,), params)
+
+    @pytest.mark.parametrize(
+        "name, qubits",
+        [(n, (0,)) for n in ["i", "x", "y", "z", "h", "s", "sdg", "t", "tdg"]]
+        + [(n, (0, 1)) for n in ["cx", "cz", "swap"]],
+    )
+    def test_fixed_gates_take_no_params(self, name, qubits):
+        Gate(name, qubits)
+        with pytest.raises(ValueError, match="param"):
+            Gate(name, qubits, (0.3,))
+
+    def test_missing_param_rejected_at_add(self):
+        """``add("rz", 0)`` used to be accepted and only fail later, inside
+        ``matrix()`` or the cancellation pass."""
+        with pytest.raises(ValueError, match="param"):
+            Circuit(1).add("rz", 0)
+
     def test_all_matrices_unitary(self):
         for name in ["i", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx", "cz", "swap"]:
             m = gate_matrix(name)
@@ -75,6 +104,18 @@ class TestCircuit:
         c = Circuit(2)
         with pytest.raises(ValueError):
             c.add("h", 5)
+
+    @pytest.mark.parametrize("gate", [Gate("h", (2,)), Gate("cx", (0, 2)), Gate("x", (-1,))])
+    def test_out_of_range_rejected_on_every_entry(self, gate):
+        message = "outside qubit range 0..1"
+        with pytest.raises(ValueError, match=message):
+            Circuit(2).append(gate)
+        with pytest.raises(ValueError, match=message):
+            Circuit(2).add(gate.name, *gate.qubits)
+        with pytest.raises(ValueError, match=message):
+            Circuit(2, [Gate("h", (0,)), gate])
+        with pytest.raises(ValueError, match=message):
+            Circuit(2).extend([gate])
 
     def test_inverse_circuit(self):
         c = Circuit(2)

@@ -154,6 +154,21 @@ class TestTrotterUnitary:
             assert phase_free_allclose(opt.to_matrix(), expected), (steps, suzuki)
 
 
+class TestTermFilter:
+    """Every term order drops terms with |c| <= 1e-12 (and the identity)."""
+
+    @pytest.mark.parametrize("order", ["lexicographic", "mutual", "given"])
+    def test_tiny_term_emits_no_gates(self, order):
+        h = QubitOperator.from_label_dict({"XZZX": 0.5, "ZZII": 1e-14, "YZZY": 0.5})
+        clean = QubitOperator.from_label_dict({"XZZX": 0.5, "YZZY": 0.5})
+        out = to_cx_u3(trotter_circuit(h, order=order))
+        assert out.gates == to_cx_u3(trotter_circuit(clean, order=order)).gates
+
+    def test_given_order_tiny_term_costs_no_cx(self):
+        h = QubitOperator.from_label_dict({"XZZX": 0.5, "ZZII": 1e-14, "YZZY": 0.5})
+        assert to_cx_u3(trotter_circuit(h, order="given")).cx_count == 12
+
+
 class TestOptimizer:
     def test_cancel_hh(self):
         c = Circuit(1)
@@ -188,9 +203,16 @@ class TestOptimizer:
         assert len(cancel_adjacent(c)) == 0
 
     def test_cascaded_cancellation(self):
-        # h s sdg h collapses completely (needs iteration).
+        # h s sdg h collapses completely: cancelling s·sdg exposes h·h.
         c = Circuit(1)
         c.add("h", 0).add("s", 0).add("sdg", 0).add("h", 0)
+        assert len(cancel_adjacent(c)) == 0
+
+    def test_cascade_through_two_qubit_gates(self):
+        # h·h on qubit 0 cancels first, which exposes the cx pair; the
+        # x pair on qubit 1 then sits across nothing and cancels too.
+        c = Circuit(2)
+        c.add("x", 1).add("cx", 0, 1).add("h", 0).add("h", 0).add("cx", 0, 1).add("x", 1)
         assert len(cancel_adjacent(c)) == 0
 
     def test_ladder_sharing_between_terms(self):
